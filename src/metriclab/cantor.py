@@ -206,17 +206,17 @@ def _two_cluster_matrix(n: int, inner: float) -> np.ndarray:
     return matrix
 
 
-def _ring_matrix(n: int, circumference: float = 2.0) -> np.ndarray:
-    h = circumference / n
+def _ring_matrix(n: int, step: float) -> np.ndarray:
+    """Cycle of n points, `step` apart: step * (hops the short way round)."""
     ids = np.arange(n)
     hops = np.abs(ids[:, None] - ids[None, :])
-    return h * np.minimum(hops, n - hops)
+    return step * np.minimum(hops, n - hops)
 
 
 def _budded_ring_matrix(n: int) -> np.ndarray:
     """A ring of n-1 points plus one bud hanging 0.01 steps off ring point 0."""
-    ring = _ring_matrix(n - 1)
     h = 2.0 / (n - 1)
+    ring = _ring_matrix(n - 1, h)
     matrix = np.zeros((n, n))
     matrix[: n - 1, : n - 1] = ring
     arm = ring[0] + 0.01 * h
@@ -241,7 +241,7 @@ def _fat_ring_matrix(n: int, block_gap_steps: float) -> np.ndarray:
             f"fat-ring recipe needs >= {stations - 1 + 34} points, got {n}"
         )
     h = 2.0 / stations
-    ring = _ring_matrix(stations)  # station 0 is the block's anchor
+    ring = _ring_matrix(stations, h)  # station 0 is the block's anchor
     matrix = np.zeros((n, n))
     matrix[:block, :block] = block_gap_steps * h
     matrix[:block, block:] = ring[0, 1:][None, :]
@@ -260,7 +260,7 @@ def _build_recipe(bits: tuple[int, int, int], depth: int):
     if bits == (0, 1, 1):
         return _two_cluster_matrix(n, 0.125), ULTRAMETRIC, "two-cluster-wide"
     if bits == (1, 0, 1):
-        return _ring_matrix(n), METRIC, "ring"
+        return _ring_matrix(n, 2.0 / n), METRIC, "ring"
     if bits == (1, 1, 0):
         space = sequential_metric(_gapped_sequence(depth), depth)
         return space.matrix, ULTRAMETRIC, "gapped-ladder"

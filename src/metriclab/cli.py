@@ -20,6 +20,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .build import (
     ClopenPartition,
     amalgamate_metric,
@@ -43,7 +45,7 @@ from .rangesets import (
     sequence_from_json,
     sequence_to_json,
 )
-from .spaces import diagnose, space_from_json, space_to_json
+from .spaces import FiniteMetricSpace, diagnose, space_from_json, space_to_json
 
 
 def _load_json(path: str):
@@ -68,12 +70,10 @@ def _cmd_validate(args) -> int:
     obj = _load_json(args.file)
     labels = tuple(str(v) for v in obj["labels"])
     flavor = obj.get("flavor", "metric")
-    import numpy as np
-
     matrix = np.array(obj["matrix"], dtype=float)
     violation = diagnose(labels, matrix, flavor=flavor, tol=args.tol)
     if violation is None:
-        space = _load_space(args.file)
+        space = FiniteMetricSpace(labels, matrix, flavor)
         result = {
             "valid": True,
             "n": space.n,

@@ -77,12 +77,42 @@ def double_exponential_range_set(base: float) -> RangeSet:
     return RangeSet(DOUBLE_EXPONENTIAL, base=float(base))
 
 
-def _geometric_element(S: RangeSet, n: int) -> float:
-    return S.scale * S.ratio**n
-
-
-def _double_exponential_element(S: RangeSet, n: int) -> float:
+def _element(S: RangeSet, n: int) -> float:
+    """The n-th positive element of a geometric or double-exponential set."""
+    if S.kind == GEOMETRIC:
+        return S.scale * S.ratio**n
     return S.base ** (2**n)
+
+
+def _exponent(S: RangeSet, x: float) -> int:
+    """Least n >= 0 with _element(S, n) <= x, for a parametric S and x > 0.
+
+    Elements never increase with n and underflow to 0, so the answer
+    exists.  A log estimate only picks the starting point: the search
+    gallops from it until it brackets the answer, then bisects.
+    """
+    if x >= _element(S, 0):
+        return 0
+    if S.kind == GEOMETRIC:
+        # log(x) - log(scale), not log(x / scale): the quotient can underflow.
+        level = (math.log(x) - math.log(S.scale)) / math.log(S.ratio)
+    else:
+        level = math.log2(math.log(x) / math.log(S.base))
+    # Bracket: _element(lo) > x >= _element(hi).  lo = 0 always meets
+    # its side, since x < _element(0).
+    hi = max(1, math.floor(level))
+    lo, step = hi - 1, 1
+    while _element(S, lo) <= x:
+        lo, hi, step = max(0, lo - step), lo, 2 * step
+    while _element(S, hi) > x:
+        lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _element(S, mid) <= x:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def least_geq(S: RangeSet, x: float) -> float:
@@ -94,29 +124,11 @@ def least_geq(S: RangeSet, x: float) -> float:
     if S.kind == EXPLICIT:
         i = bisect.bisect_left(S.values, x)
         return S.values[i] if i < len(S.values) else math.inf
-    if S.kind == GEOMETRIC:
-        if x > S.scale:
-            return math.inf
-        # Largest n with scale * ratio**n >= x; the log estimate can be off
-        # by a rounding step, so scan a small window around it.
-        guess = math.floor(math.log(x / S.scale) / math.log(S.ratio))
-        best = math.inf
-        for n in range(max(0, guess - 3), guess + 4):
-            value = _geometric_element(S, n)
-            if value >= x:
-                best = min(best, value)
-        return best
-    # double exponential
-    if x > S.base:
+    if x > _element(S, 0):
         return math.inf
-    level = math.log(x) / math.log(S.base)  # >= 1 here
-    guess = math.floor(math.log2(level)) if level >= 1 else 0
-    best = math.inf
-    for n in range(max(0, guess - 2), guess + 4):
-        value = _double_exponential_element(S, n)
-        if value >= x:
-            best = min(best, value)
-    return best
+    n = _exponent(S, x)
+    value = _element(S, n)
+    return value if value == x else _element(S, n - 1)
 
 
 def greatest_leq(S: RangeSet, x: float) -> float:
@@ -126,30 +138,9 @@ def greatest_leq(S: RangeSet, x: float) -> float:
     if S.kind == EXPLICIT:
         i = bisect.bisect_right(S.values, x)
         return S.values[i - 1] if i > 0 else 0.0
-    if S.kind == GEOMETRIC:
-        if x >= S.scale:
-            return S.scale
-        if x == 0:
-            return 0.0
-        guess = math.floor(math.log(x / S.scale) / math.log(S.ratio))
-        best = 0.0
-        for n in range(max(0, guess - 3), guess + 4):
-            value = _geometric_element(S, n)
-            if value <= x:
-                best = max(best, value)
-        return best
-    if x >= S.base:
-        return S.base
     if x == 0:
         return 0.0
-    level = math.log(x) / math.log(S.base)
-    guess = math.floor(math.log2(level)) if level >= 1 else 0
-    best = 0.0
-    for n in range(max(0, guess - 2), guess + 4):
-        value = _double_exponential_element(S, n)
-        if value <= x:
-            best = max(best, value)
-    return best
+    return _element(S, _exponent(S, x))
 
 
 def contains(S: RangeSet, x: float, tol: float = 0.0) -> bool:
@@ -312,22 +303,9 @@ def ladder(S: RangeSet, top: float, count: int) -> tuple[float, ...]:
                 f"explicit set holds only {len(rungs)} positive values <= {top!r}"
             )
         return tuple(rungs[:count])
-    if S.kind == GEOMETRIC:
-        # Recover the exponent of `first`, then step it: elements are
-        # recomputed from the exponent so they match least_geq bitwise.
-        n0 = round(math.log(first / S.scale) / math.log(S.ratio))
-        while _geometric_element(S, n0) > first:
-            n0 += 1
-        while n0 > 0 and _geometric_element(S, n0 - 1) <= top:
-            n0 -= 1
-        return tuple(_geometric_element(S, n0 + j) for j in range(count))
-    level = math.log(first) / math.log(S.base)
-    n0 = round(math.log2(level)) if level >= 1 else 0
-    while _double_exponential_element(S, n0) > first:
-        n0 += 1
-    while n0 > 0 and _double_exponential_element(S, n0 - 1) <= top:
-        n0 -= 1
-    return tuple(_double_exponential_element(S, n0 + j) for j in range(count))
+    # Rungs are recomputed from the exponent so they match least_geq bitwise.
+    n0 = _exponent(S, top)
+    return tuple(_element(S, n0 + j) for j in range(count))
 
 
 def up_obstruction(S: RangeSet, c: float, n_max: int) -> int | None:

@@ -8,6 +8,7 @@ expected values derived by hand live in FROZEN at the bottom.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 
@@ -156,6 +157,57 @@ def up_obstruction_by_scan(s_values, c: float, n_max: int) -> int | None:
         if not inside and above:
             return n
     return None
+
+
+def parametric_elements(kind: str, param: float, scale: float = 1.0) -> list[float]:
+    """Positive elements of a geometric or double-exponential range set
+    in exponent order: scale * ratio**n or base**(2**n) for n = 0, 1, ...,
+    as floats, until the value underflows to 0."""
+    elements = []
+    while True:
+        n = len(elements)
+        value = scale * param**n if kind == "geometric" else param ** (2**n)
+        if value == 0.0:
+            return elements
+        elements.append(value)
+
+
+def least_geq_by_scan(members: list[float], x: float) -> float:
+    """Smallest member >= x, or inf; members sorted ascending, 0 first."""
+    i = bisect.bisect_left(members, x)
+    return members[i] if i < len(members) else math.inf
+
+
+def greatest_leq_by_scan(members: list[float], x: float) -> float:
+    """Largest member <= x; members sorted ascending, starting with 0."""
+    return members[bisect.bisect_right(members, x) - 1]
+
+
+def ladder_by_scan(elements: list[float], top: float, count: int) -> tuple[float, ...]:
+    """`count` elements in exponent order from the first one <= top
+    (underflowed elements read 0)."""
+    start = next(n for n, value in enumerate(elements) if value <= top)
+    padded = elements + [0.0] * count
+    return tuple(padded[start : start + count])
+
+
+def subset_ratio_extremes_by_scan(base: np.ndarray, perturbed: np.ndarray):
+    """(min diam_e / diam_d, max sep_e / sep_d) over every subset of at
+    least two points, enumerated by bit mask."""
+    n = base.shape[0]
+    min_diam, max_sep = math.inf, 0.0
+    for mask in range(1, 1 << n):
+        if not mask & (mask - 1):
+            continue
+        idx = [i for i in range(n) if (mask >> i) & 1]
+        pairs = list(itertools.combinations(idx, 2))
+        diam_e = max(float(perturbed[i, j]) for i, j in pairs)
+        diam_d = max(float(base[i, j]) for i, j in pairs)
+        sep_e = min(float(perturbed[i, j]) for i, j in pairs)
+        sep_d = min(float(base[i, j]) for i, j in pairs)
+        min_diam = min(min_diam, diam_e / diam_d)
+        max_sep = max(max_sep, sep_e / sep_d)
+    return min_diam, max_sep
 
 
 def mcshane_by_loops(matrix: np.ndarray, subset, values, lip: float) -> list[float]:

@@ -61,6 +61,23 @@ def test_validate_rejects_and_names_the_axiom(tmp_path, capsys):
     assert sorted(payload["indices"]) == [0, 1, 2]
 
 
+def test_validate_honours_tol(tmp_path, capsys):
+    # d(0,2) exceeds the path through 1 by 1e-6: valid at tol 1e-3 only.
+    near = {
+        "labels": ["a", "b", "c"],
+        "matrix": [[0.0, 1.0, 2.000001], [1.0, 0.0, 1.0], [2.000001, 1.0, 0.0]],
+        "flavor": "metric",
+    }
+    path = _write(tmp_path, "near.json", near)
+    assert main(["validate", path, "--tol", "1e-3"]) == 0
+    payload, err = _stdout_json(capsys)
+    assert err == ""
+    assert payload == {"valid": True, "n": 3, "flavor": "metric", "diameter": 2.000001}
+    assert main(["validate", path]) == 1
+    payload, _ = _stdout_json(capsys)
+    assert payload["axiom"] == "triangle"
+
+
 def test_validate_writes_out_file(tmp_path, capsys):
     path = _write(tmp_path, "space.json", _line_space_json([0.0, 2.0], "ab"))
     out = tmp_path / "result.json"

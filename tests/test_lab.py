@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles as orc
 from metriclab import (
     ExperimentConfig,
     Thresholds,
@@ -20,10 +21,15 @@ from metriclab import (
     random_space,
     render_report,
     run_experiment,
-    sample_subsets,
     trial_rng,
 )
-from metriclab.lab import EXPERIMENTS, _grid_piece, grid_host
+from metriclab.lab import (
+    EXPERIMENTS,
+    _grid_piece,
+    _perturb_within_half,
+    _uniform_space,
+    grid_host,
+)
 from metriclab.rangesets import contains
 
 
@@ -180,13 +186,19 @@ def test_random_s_ultrametric_values_live_in_s():
         random_s_ultrametric(1, S, rng)
 
 
-def test_sample_subsets_counts():
-    rng = trial_rng(74, 0)
-    small = sample_subsets(5, rng)
-    assert len(small) == 2**5 - 5 - 1
-    assert all(len(s) >= 2 for s in small)
-    big = sample_subsets(13, rng, budget=50)
-    assert len(big) == 13 * 12 // 2 + 50
+@pytest.mark.parametrize("n", [2, 3, 5, 12])
+def test_perturb_uniform_ratios_match_subset_scan(n):
+    for seed in range(3):
+        report = run_experiment(ExperimentConfig("perturb_uniform", n=n, seed=seed))
+        row = report["rows"][0]
+        base = _uniform_space(n)
+        perturbed = _perturb_within_half(base, trial_rng(seed, 0))
+        assert row["digest"] == matrix_digest(perturbed)
+        min_diam, max_sep = orc.subset_ratio_extremes_by_scan(
+            base.matrix, perturbed.matrix
+        )
+        assert row["after_min_diam_ratio"] == min_diam
+        assert row["after_max_sep_ratio"] == max_sep
 
 
 def test_grid_host_structure():

@@ -108,6 +108,36 @@ def test_double_exponential_neighbors_are_bitwise_exact():
     assert greatest_leq(S, 0.6) == 0.5
 
 
+_PARAMETRIC_SETS = [
+    ("geometric", ratio, scale)
+    for scale in (1e-300, 1.0, 3.7, 1e300)
+    for ratio in (0.001, 0.1, 0.5, 0.9, 0.999)
+] + [("double_exponential", base, 1.0) for base in (1e-100, 0.001, 0.5, 0.9, 0.999999)]
+
+
+@pytest.mark.parametrize("kind,param,scale", _PARAMETRIC_SETS)
+def test_parametric_queries_match_enumeration(kind, param, scale):
+    if kind == "geometric":
+        S = geometric_range_set(param, scale=scale)
+    else:
+        S = double_exponential_range_set(param)
+    elements = orc.parametric_elements(kind, param, scale)
+    members = [0.0] + sorted(elements)
+    last = len(elements) - 1
+    picks = {0, 1, 2, last // 2, last - 2, last - 1, last} & set(range(last + 1))
+    xs = [5e-324, 1e-310, 2 * elements[0]]
+    for n in sorted(picks):
+        v = elements[n]
+        xs += [v, v * (1 + 1e-15), v * (1 - 1e-15)]
+    for x in xs:
+        assert least_geq(S, x) == orc.least_geq_by_scan(members, x)
+        below = greatest_leq(S, x)
+        assert below == orc.greatest_leq_by_scan(members, x)
+        assert contains(S, x) == (orc.least_geq_by_scan(members, x) == x)
+        if below > 0:
+            assert ladder(S, x, 3) == orc.ladder_by_scan(elements, x, 3)
+
+
 def test_contains_with_and_without_slack():
     S = geometric_range_set(0.5)
     assert contains(S, 0.125)
