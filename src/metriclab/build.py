@@ -140,17 +140,27 @@ class Embedding:
         return cls(coords)
 
 
+# Elements (8 MiB of floats) in one row block's temporary in the
+# row-blocked kernels below.
+_BLOCK_ELEMENTS = 1 << 20
+
+
+def _row_blocks(rows: int, width: int):
+    """Slices covering range(rows) in order, each holding as many rows as
+    keep a (rows in block, width) temporary within _BLOCK_ELEMENTS."""
+    step = max(1, _BLOCK_ELEMENTS // max(1, width))
+    for start in range(0, rows, step):
+        yield slice(start, min(rows, start + step))
+
+
 def pairwise_linf(coords: np.ndarray) -> np.ndarray:
     """Max-norm distance matrix of row vectors (row blocks keep memory flat)."""
     coords = np.asarray(coords, dtype=float)
     n = coords.shape[0]
     out = np.empty((n, n))
-    step = max(1, (1 << 22) // max(1, n * coords.shape[1]))
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        out[start:stop] = np.abs(
-            coords[start:stop, None, :] - coords[None, :, :]
-        ).max(axis=2)
+    for block in _row_blocks(n, n * coords.shape[1]):
+        diff = coords[block, None, :] - coords[None, :, :]
+        out[block] = np.abs(diff, out=diff).max(axis=2)
     return out
 
 
@@ -253,7 +263,8 @@ def mcshane_extend(
     per component for vector values; the restriction to the subset is
     then overwritten with the inputs so it holds bit-exactly.  The
     Lipschitz hypothesis is verified on the subset first (max-norm
-    componentwise for vectors).
+    componentwise for vectors).  Both steps run in row blocks, so beyond
+    the (k, k) and (n, components) arrays memory holds one block.
     """
     subset = [int(i) for i in subset]
     if not subset:
@@ -274,7 +285,7 @@ def mcshane_extend(
         raise ValueError("the Lipschitz constant must be nonnegative")
 
     sub_d = space.matrix[np.ix_(subset, subset)]
-    spread = np.abs(f[:, None, :] - f[None, :, :]).max(axis=2)
+    spread = pairwise_linf(f)
     slack = tol * max(1.0, float(np.abs(f).max()), lip * float(sub_d.max()))
     bad = spread > lip * sub_d + slack
     if bad.any():
@@ -284,7 +295,10 @@ def mcshane_extend(
             f"lip * d = {float(lip * sub_d[i, j])!r}"
         )
 
-    extended = (f[None, :, :] + lip * space.matrix[:, subset][:, :, None]).min(axis=1)
+    extended = np.empty((space.n, f.shape[1]))
+    for block in _row_blocks(space.n, f.size):
+        steps = lip * space.matrix[block][:, subset]
+        extended[block] = (f[None, :, :] + steps[:, :, None]).min(axis=1)
     extended[subset] = f
     return extended[:, 0] if scalar else extended
 

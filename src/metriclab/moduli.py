@@ -21,11 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.cluster.hierarchy import cophenet, linkage
-from scipy.spatial.distance import squareform
 
 from .errors import BadScaleCutoff, DegenerateSpace
-from .spaces import FiniteMetricSpace
+from .spaces import FiniteMetricSpace, _subdominant_ultrametric
 
 # Largest point count for which the doubling search enumerates all subsets.
 EXHAUSTIVE_LIMIT = 15
@@ -151,12 +149,12 @@ def _ball_prefix_candidates(matrix: np.ndarray, beta: float):
     center.
     """
     n = matrix.shape[0]
+    tril = np.tril(np.ones((n, n), dtype=bool), k=-1)
     for center in range(n):
         order = np.argsort(matrix[center], kind="stable")
-        sub = matrix[np.ix_(order, order)]
-        tril = np.tril(np.ones((n, n), dtype=bool), k=-1)
-        rowmax = np.where(tril, sub, -np.inf).max(axis=1)
-        rowmin = np.where(tril, sub, np.inf).min(axis=1)
+        sub = matrix[order][:, order]
+        rowmax = sub.max(axis=1, where=tril, initial=-np.inf)
+        rowmin = sub.min(axis=1, where=tril, initial=np.inf)
         diam = np.maximum.accumulate(rowmax)[1:]
         sep = np.minimum.accumulate(rowmin)[1:]
         cards = np.arange(2, n + 1, dtype=float)
@@ -210,9 +208,10 @@ def doubling_constant(
     for _ in range(budget):
         k = int(generator.integers(2, n + 1))
         idx = np.sort(generator.choice(n, size=k, replace=False))
-        sub = m[np.ix_(idx, idx)]
-        suboff = ~np.eye(k, dtype=bool)
-        ratio = _subset_ratio(beta, k, float(sub.max()), float(sub[suboff].min()))
+        sub = m[idx][:, idx]
+        diam = float(sub.max())
+        np.fill_diagonal(sub, np.inf)
+        ratio = _subset_ratio(beta, k, diam, float(sub.min()))
         consider(ratio, tuple(int(i) for i in idx))
 
     return DoublingReport(beta, float(best), witness, "sampled")
@@ -222,16 +221,12 @@ def bottleneck_matrix(space: FiniteMetricSpace) -> np.ndarray:
     """All-pairs minimax chain cost.
 
     Entry (x, y) is the minimum over chains x = z_1, ..., z_N = y of the
-    maximum step d(z_i, z_{i+1}).  Computed exactly as the cophenetic
-    distance of the single-linkage hierarchy (the minimax-path property
-    of minimum spanning trees); the values are original matrix entries,
-    no arithmetic is performed on them.
+    maximum step d(z_i, z_{i+1}): the subdominant ultrametric, computed
+    exactly as the single-linkage cophenetic matrix (the minimax-path
+    property of minimum spanning trees); the values are original matrix
+    entries, no arithmetic is performed on them.
     """
-    if space.n == 1:
-        return np.zeros((1, 1))
-    condensed = squareform(space.matrix, checks=False)
-    merge_tree = linkage(condensed, method="single")
-    return squareform(cophenet(merge_tree))
+    return _subdominant_ultrametric(space.matrix)
 
 
 def ud_modulus(space: FiniteMetricSpace) -> UDReport:

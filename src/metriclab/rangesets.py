@@ -286,7 +286,8 @@ def ladder(S: RangeSet, top: float, count: int) -> tuple[float, ...]:
     The first rung is the largest element <= top; later rungs follow
     the structure of S (consecutive exponents for the parametric kinds,
     consecutive listed values for explicit sets).  Raises ValueError
-    when S does not hold `count` positive values below the cap.
+    when S does not hold `count` positive values below the cap, or when
+    those values round to repeated floats or to 0 (subnormal elements).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -305,7 +306,13 @@ def ladder(S: RangeSet, top: float, count: int) -> tuple[float, ...]:
         return tuple(rungs[:count])
     # Rungs are recomputed from the exponent so they match least_geq bitwise.
     n0 = _exponent(S, top)
-    return tuple(_element(S, n0 + j) for j in range(count))
+    rungs = tuple(_element(S, n0 + j) for j in range(count))
+    # Past the normal range consecutive elements round to one value or to 0.
+    if rungs[-1] == 0.0 or any(b >= a for a, b in zip(rungs, rungs[1:])):
+        raise ValueError(
+            f"S holds no {count} strictly decreasing positive floats from {first!r} down"
+        )
+    return rungs
 
 
 def up_obstruction(S: RangeSet, c: float, n_max: int) -> int | None:

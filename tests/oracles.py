@@ -52,6 +52,25 @@ def ultra_dist(a: np.ndarray, b: np.ndarray, s_values) -> float:
 
 
 # ---------------------------------------------------------------------------
+# axioms
+
+
+def first_triangle_violation_by_loops(matrix: np.ndarray, slack: float, strong: bool):
+    """Lexicographically first (i, j, k) with d(i, j) > b + slack, where
+    b = d(i, k) + d(k, j), or max(d(i, k), d(k, j)) when strong; None
+    when no triple violates."""
+    n = matrix.shape[0]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                left, right = float(matrix[i, k]), float(matrix[k, j])
+                bound = max(left, right) if strong else left + right
+                if float(matrix[i, j]) > bound + slack:
+                    return i, j, k
+    return None
+
+
+# ---------------------------------------------------------------------------
 # chains: every simple path between a pair, evaluated in bulk
 
 

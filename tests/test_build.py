@@ -1,5 +1,7 @@
 """Partitions, amalgams, extensions, nets, and the three approximators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -282,6 +284,54 @@ def test_mcshane_vector_equals_per_column_scalars():
     for col in range(2):
         scalar = mcshane_extend(space, subset, values[:, col], 1.0)
         assert np.array_equal(vector[:, col], scalar)
+
+
+def _integer_linf_space(n, seed):
+    """n distinct integer points in a cube under the max norm: every
+    distance, and every sum below, is an exact small integer."""
+    rng = np.random.default_rng(seed)
+    codes = rng.choice(64**3, size=n, replace=False)
+    points = np.stack([codes // 64**2, (codes // 64) % 64, codes % 64], axis=1)
+    matrix = np.abs(points[:, None, :] - points[None, :, :]).max(axis=2).astype(float)
+    return FiniteMetricSpace(tuple(f"q{i}" for i in range(n)), matrix)
+
+
+def test_mcshane_memory_stays_flat_and_matches_oracle():
+    # Kuratowski coordinates on 256 landmarks are 1-Lipschitz; the
+    # unblocked kernel allocated two (k, k, 256) and (n, k, 256) arrays
+    space = _integer_linf_space(256, 0)
+    rng = np.random.default_rng(1)
+    landmarks = rng.permutation(256)
+    for k in (256, 128):
+        subset = [int(i) for i in rng.permutation(256)[:k]]
+        values = space.matrix[np.ix_(subset, landmarks)]
+        tracemalloc.start()
+        try:
+            got = mcshane_extend(space, subset, values, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert np.array_equal(got[subset], values)
+        for col in range(0, 256, 17):
+            expected = orc.mcshane_by_loops(space.matrix, subset, values[:, col], 1.0)
+            assert np.array_equal(got[:, col], expected)
+
+
+def test_mcshane_names_the_first_bad_pair_past_the_first_block():
+    # rows of the (256, 256) spread are checked 16 at a time; pairs
+    # (100, 180) and (100, 200) become violations when their distance
+    # shrinks below the coordinate gap, and the first in row-major
+    # order over the sorted subset is named
+    space = _integer_linf_space(256, 2)
+    values = space.matrix.copy()
+    matrix = space.matrix.copy()
+    for j in (200, 180):
+        matrix[100, j] = matrix[j, 100] = 0.5
+    broken = FiniteMetricSpace(space.labels, matrix)
+    subset = list(range(255, -1, -1))
+    with pytest.raises(NotLipschitzOnSubset, match=r"\|f\(100\) - f\(180\)\| = "):
+        mcshane_extend(broken, subset, values[::-1], 1.0)
 
 
 def test_mcshane_guards():

@@ -135,7 +135,12 @@ def test_parametric_queries_match_enumeration(kind, param, scale):
         assert below == orc.greatest_leq_by_scan(members, x)
         assert contains(S, x) == (orc.least_geq_by_scan(members, x) == x)
         if below > 0:
-            assert ladder(S, x, 3) == orc.ladder_by_scan(elements, x, 3)
+            rungs = orc.ladder_by_scan(elements, x, 3)
+            if rungs[-1] > 0 and all(b < a for a, b in zip(rungs, rungs[1:])):
+                assert ladder(S, x, 3) == rungs
+            else:
+                with pytest.raises(ValueError):
+                    ladder(S, x, 3)
 
 
 def test_contains_with_and_without_slack():
@@ -293,6 +298,16 @@ def test_double_exponential_ladder():
     S = double_exponential_range_set(0.5)
     got = ladder(S, 0.3, 3)
     assert got == (0.5 ** (2**1), 0.5 ** (2**2), 0.5 ** (2**3))
+
+
+def test_ladder_rejects_rungs_that_round_together_or_to_zero():
+    # subnormal elements: 0.999-steps below 1e-321 round to one float, and
+    # 0.5-steps below 1e-323 reach 0
+    with pytest.raises(ValueError):
+        ladder(geometric_range_set(0.999, 1e-300), 1e-321, 3)
+    with pytest.raises(ValueError):
+        ladder(geometric_range_set(0.5), 1e-323, 3)
+    assert ladder(geometric_range_set(0.5), 4e-323, 3) == (4e-323, 2e-323, 1e-323)
 
 
 def test_ladder_guards():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as orc
+from metriclab import spaces
 from metriclab import (
     AsymmetricMatrix,
     FiniteMetricSpace,
@@ -18,6 +19,7 @@ from metriclab import (
     TriangleViolation,
     ValueOutsideRangeSet,
     ZeroOffDiagonal,
+    bottleneck_matrix,
     diagnose,
     explicit_range_set,
     geometric_range_set,
@@ -175,6 +177,97 @@ def test_triangle_slack_is_relative():
     matrix[0, 2] = matrix[2, 0] = 2.0 + 5e-10 * 2.0
     assert diagnose(_labels(3), matrix) is None
     assert diagnose(_labels(3), matrix, tol=0.0).axiom == "triangle"
+
+
+def _planted_matrix(rng, n, shape):
+    """A symmetric positive matrix with a zero diagonal: an ultrametric or
+    a metric with ties, either one with a few entries rescaled so that
+    (strong) triangle violations appear, or a loose random matrix."""
+    if shape.startswith("ultrametric"):
+        depth = 4  # 16 distinct strings cover n <= 12 distinct points
+        codes = rng.choice(1 << depth, size=n, replace=False)
+        bits = (codes[:, None] >> np.arange(depth - 1, -1, -1)) & 1
+        differ = bits[:, None, :] != bits[None, :, :]
+        first = np.where(differ.any(axis=2), differ.argmax(axis=2), depth)
+        rungs = np.sort(rng.choice([0.25, 0.5, 1.0, 2.0], size=depth))[::-1]
+        matrix = np.append(rungs, 0.0)[first]
+    elif shape.startswith("metric"):
+        raw = np.triu(rng.integers(4, 8, size=(n, n)) / 4.0, k=1)
+        matrix = raw + raw.T
+    else:
+        raw = np.triu(rng.uniform(0.1, 3.0, size=(n, n)), k=1)
+        matrix = raw + raw.T
+    if shape.endswith("bumped") and n >= 2:
+        for _ in range(int(rng.integers(1, 4))):
+            i, j = rng.choice(n, size=2, replace=False)
+            factor = rng.choice([0.5, 1 + 1e-12, 1 + 1e-6, 1.001, 2.5])
+            matrix[i, j] = matrix[j, i] = matrix[i, j] * factor
+    return matrix
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(range(1, 13)),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(
+        ["ultrametric", "ultrametric_bumped", "metric", "metric_bumped", "loose"]
+    ),
+    st.sampled_from([1e-300, 1.0, 1e300]),
+    st.sampled_from([0.0, 1e-9, 1e-3]),
+    st.sampled_from(["metric", "ultrametric"]),
+)
+def test_diagnose_witness_matches_loop_oracle(n, seed, shape, scale, tol, flavor):
+    matrix = _planted_matrix(np.random.default_rng(seed), n, shape) * scale
+    slack = tol * float(matrix.max()) if n > 1 else 0.0
+    expected = None
+    hit = orc.first_triangle_violation_by_loops(matrix, slack, strong=False)
+    if hit is not None:
+        expected = ("triangle", hit)
+    elif flavor == "ultrametric":
+        hit = orc.first_triangle_violation_by_loops(matrix, slack, strong=True)
+        if hit is not None:
+            expected = ("strong_triangle", hit)
+    violation = diagnose(_labels(n), matrix, flavor=flavor, tol=tol)
+    got = None if violation is None else (violation.axiom, violation.indices)
+    assert got == expected
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[0.0]],
+        [[0.0, 2.0], [2.0, 0.0]],
+        [[0.0, 1.0, 3.0], [1.0, 0.0, 3.0], [3.0, 3.0, 0.0]],
+    ],
+)
+def test_exact_ultrametric_is_certified_without_scanning(matrix, monkeypatch):
+    matrix = np.array(matrix)
+
+    def scan(*args, **kwargs):
+        raise AssertionError("the triangle scans ran")
+
+    monkeypatch.setattr(spaces, "_first_triangle_violation", scan)
+    for tol in (0.0, VALIDATION_TOL):
+        assert diagnose(_labels(len(matrix)), matrix, flavor="ultrametric", tol=tol) is None
+
+
+def test_ultrametric_within_tol_falls_back_to_the_tolerant_scan():
+    # d(1, 2) sits 1e-12 above max(d(1, 0), d(0, 2)): the subdominant
+    # ultrametric reads 1.0 there, so only the tolerant scan can accept it
+    matrix = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0 + 1e-12], [1.0, 1.0 + 1e-12, 0.0]])
+    assert bottleneck_matrix(FiniteMetricSpace(_labels(3), matrix))[1, 2] == 1.0
+    assert diagnose(_labels(3), matrix, flavor="ultrametric") is None
+    violation = diagnose(_labels(3), matrix, flavor="ultrametric", tol=0.0)
+    assert (violation.axiom, violation.indices) == ("strong_triangle", (1, 2, 0))
+
+
+def test_metric_that_is_not_ultrametric_keeps_its_strong_witness():
+    space = random_space("closure", 9, trial_rng(20, 0))
+    violation = diagnose(space.labels, space.matrix, flavor="ultrametric")
+    slack = VALIDATION_TOL * space.diameter
+    expected = orc.first_triangle_violation_by_loops(space.matrix, slack, strong=True)
+    assert (violation.axiom, violation.indices) == ("strong_triangle", (0, 2, 1))
+    assert violation.indices == expected
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
