@@ -32,6 +32,7 @@ from .build import (
 )
 from .cantor import generate_type, sequential_metric
 from .errors import MetricLabError
+from .jsontext import dumps
 from .lab import ExperimentConfig, render_report, run_experiment
 from .moduli import (
     Thresholds,
@@ -58,7 +59,7 @@ def _load_space(path: str):
 
 
 def _emit(obj, out: str | None, rendered: str | None = None) -> None:
-    text = rendered if rendered is not None else json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = rendered if rendered is not None else dumps(obj)
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)

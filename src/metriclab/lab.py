@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -47,6 +46,7 @@ from .cantor import (
     geometric_prefix_ultrametric,
 )
 from .errors import GenerationFailed, MetricLabError
+from .jsontext import dumps
 from .moduli import (
     DEFAULT_THRESHOLDS,
     Thresholds,
@@ -647,10 +647,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return report
 
 
-def report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -675,4 +671,4 @@ def report_csv(report: dict) -> str:
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "csv":
         return report_csv(report)
-    return report_json(report)
+    return dumps(report)

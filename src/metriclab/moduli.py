@@ -212,7 +212,8 @@ def doubling_constant(
         diam = float(sub.max())
         np.fill_diagonal(sub, np.inf)
         ratio = _subset_ratio(beta, k, diam, float(sub.min()))
-        consider(ratio, tuple(int(i) for i in idx))
+        if ratio >= best:  # consider() ignores anything smaller
+            consider(ratio, tuple(idx.tolist()))
 
     return DoublingReport(beta, float(best), witness, "sampled")
 
@@ -236,10 +237,10 @@ def ud_modulus(space: FiniteMetricSpace) -> UDReport:
     bottleneck = bottleneck_matrix(space)
     iu = np.triu_indices(space.n, k=1)
     ratios = bottleneck[iu] / space.matrix[iu]
-    best = float(ratios.min())
-    ties = np.nonzero(ratios == best)[0]
-    witness = min((int(iu[0][t]), int(iu[1][t])) for t in ties)
-    return UDReport(best, witness, bottleneck)
+    # triu_indices lists pairs in lexicographic order, so the first
+    # minimum is the least tied pair.
+    t = int(np.argmin(ratios))
+    return UDReport(float(ratios[t]), (int(iu[0][t]), int(iu[1][t])), bottleneck)
 
 
 def up_constant(space: FiniteMetricSpace, r_min: float) -> UPReport:

@@ -100,6 +100,19 @@ def bottleneck_by_paths(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+def ud_witness_by_loops(matrix: np.ndarray, bottleneck: np.ndarray):
+    """(delta*, (i, j)): the first pair i < j, in lexicographic order,
+    whose ratio bottleneck / d is strictly below every earlier one."""
+    n = matrix.shape[0]
+    best, witness = math.inf, None
+    for i in range(n):
+        for j in range(i + 1, n):
+            ratio = float(bottleneck[i, j]) / float(matrix[i, j])
+            if ratio < best:
+                best, witness = ratio, (i, j)
+    return best, witness
+
+
 def closure_by_paths(matrix: np.ndarray) -> np.ndarray:
     """Shortest-path repair by enumerating all simple paths (tiny n only)."""
     n = matrix.shape[0]

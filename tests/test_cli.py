@@ -14,6 +14,7 @@ from metriclab import (
     sup_distance,
     trial_rng,
 )
+from metriclab import cli, jsontext, lab
 from metriclab.cli import main
 
 GEOMETRIC_S = {"kind": "geometric", "ratio": 0.5, "scale": 1.0}
@@ -402,3 +403,46 @@ def test_missing_keys_is_a_clean_error(tmp_path, capsys):
     path = _write(tmp_path, "empty.json", {})
     assert main(["validate", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# output format
+
+
+def test_outputs_are_the_indenting_encoders_bytes(tmp_path, capsys, monkeypatch):
+    payloads = []
+
+    def spy(obj):
+        payloads.append(obj)
+        return jsontext.dumps(obj)
+
+    monkeypatch.setattr(cli, "dumps", spy)
+    monkeypatch.setattr(lab, "dumps", spy)
+    space = random_space("closure", 12, trial_rng(82, 0))
+    space = _write(tmp_path, "space.json", space_to_json(space))
+    ultra = random_s_ultrametric(16, geometric_range_set(0.5), trial_rng(81, 0))
+    ultra = _write(tmp_path, "ultra.json", space_to_json(ultra))
+    S = _write(tmp_path, "S.json", GEOMETRIC_S)
+    labels = ["p0", "p1", "p2", "p3", "p4"]
+    host = _write(tmp_path, "host.json", _line_space_json([0.0, 0.3, 10.0, 10.2, 10.4], labels))
+    part = _write(tmp_path, "part.json", {"pieces": [[0, 1], [2, 3, 4]], "basepoints": [0, 3]})
+    piece0 = _write(tmp_path, "piece0.json", _line_space_json([0.0, 0.25], labels[:2]))
+    piece1 = _write(tmp_path, "piece1.json", _line_space_json([0.0, 0.15, 0.3], labels[2:]))
+    config = _write(tmp_path, "cfg.json", {"experiment": "dense_ud", "n": 12, "trials": 2})
+    approximate = ["approximate", space, "--epsilon", "0.125", "--fraction", "--property"]
+    for argv in (
+        ["validate", space],
+        ["moduli", space, "--full"],
+        approximate + ["doubling"],
+        approximate + ["ud"],
+        approximate + ["up"],
+        ["approximate", ultra, "--property", "ud", "--epsilon", "0.125", "--rangeset", S],
+        ["amalgamate", host, part, piece0, piece1],
+        ["cantor", "gen", "--type", "110", "--depth", "4"],
+        ["experiment", config],
+    ):
+        payloads.clear()
+        assert main(argv) == 0, argv
+        assert len(payloads) == 1
+        expected = json.dumps(payloads[0], sort_keys=True, indent=2) + "\n"
+        assert capsys.readouterr().out == expected, argv

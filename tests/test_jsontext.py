@@ -1,0 +1,88 @@
+"""The JSON writer against the indenting encoder whose bytes it keeps."""
+
+import json
+import math
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from metriclab.jsontext import _is_float_matrix, dumps
+
+
+def _reference(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def _nan_with_payload(mantissa: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", 0x7FF0000000000000 | mantissa))[0]
+
+
+EDGE_FLOATS = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0
+]
+floats = (
+    st.floats()
+    | st.sampled_from(EDGE_FLOATS)
+    | st.integers(min_value=1, max_value=2**52 - 1).map(_nan_with_payload)
+)
+
+
+@st.composite
+def float_matrices(draw):
+    # few distinct values, the way an ultrametric's matrix has them
+    pool = draw(st.lists(floats, min_size=1, max_size=6))
+    rows = draw(st.integers(min_value=1, max_value=5))
+    cols = draw(st.integers(min_value=1, max_value=5))
+    return [[draw(st.sampled_from(pool)) for _ in range(cols)] for _ in range(rows)]
+
+
+scalars = st.none() | st.booleans() | st.integers() | floats | st.text()
+numbers = st.booleans() | st.integers() | floats
+leaves = (
+    scalars
+    | float_matrices()
+    | st.lists(st.lists(floats, max_size=4), max_size=4)  # ragged and empty rows
+    | st.lists(st.lists(numbers, min_size=1, max_size=4), min_size=1, max_size=4)
+)
+json_values = st.recursive(
+    leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.tuples(children, children)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(json_values)
+def test_dumps_matches_the_indenting_encoder(value):
+    assert dumps(value) == _reference(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"é\n\"\\\t ": "ü\x00☃", "": [], "k": {}},
+        {1: "a", 10: "b", -3: "c"},
+        {0.5: 1, -0.0: 2, math.inf: 3},
+        {True: 1, False: 2},
+        {None: [1.0]},
+        [[5e-324]],
+        [[0.0, -0.0], [-0.0, 0.0]],
+        [[1.0, 2.0], [3.0]],
+        [[1.0], []],
+        [(1.0, 2.0), (3.0, 4.0)],
+        [[[1.0, -0.0]], [[math.nan]]],
+    ],
+)
+def test_dumps_matches_on_keys_escapes_and_shapes(value):
+    assert dumps(value) == _reference(value)
+
+
+def test_only_rectangular_lists_of_floats_take_the_matrix_path():
+    assert _is_float_matrix([[1.0]])
+    assert _is_float_matrix([[-0.0, math.nan], [math.inf, 5e-324]])
+    for value in ([[1, 2.0]], [[True]], [[1.0], [2.0, 3.0]], [[]], [(1.0,)], ([1.0],)):
+        assert not _is_float_matrix(value)

@@ -22,7 +22,9 @@ from metriclab import (
     render_report,
     run_experiment,
     trial_rng,
+    validate,
 )
+from metriclab import lab
 from metriclab.lab import (
     EXPERIMENTS,
     _grid_piece,
@@ -246,6 +248,22 @@ def test_perturb_uniform_small_run():
         assert row["achieved"] < 0.5
         assert row["after_min_diam_ratio"] >= 0.5
         assert row["after_max_sep_ratio"] <= 2.0
+
+
+def test_perturb_uniform_check_fails_on_a_shrunk_pair(monkeypatch):
+    # The uniform(-0.49, 0.49) noise keeps every entry in (0.51, 1.49), so
+    # the ratio check is fed one entry at 0.45 to show that it can fail.
+    def shrink_one_pair(base, rng):
+        matrix = base.matrix.copy()
+        matrix[0, 1] = matrix[1, 0] = 0.45
+        return validate(base.labels, matrix)
+
+    monkeypatch.setattr(lab, "_perturb_within_half", shrink_one_pair)
+    report = run_experiment(ExperimentConfig("perturb_uniform", n=8, trials=2, seed=21))
+    for row in report["rows"]:
+        assert row["after_min_diam_ratio"] == 0.45
+        assert row["pass"] is False
+    assert report["summary"]["all_pass"] is False
 
 
 def test_perturb_chain_small_run():

@@ -155,6 +155,38 @@ def test_ud_modulus_witness_identity():
         ud_modulus(lone)
 
 
+def test_ud_modulus_witness_is_the_first_strict_minimum():
+    rng = trial_rng(39, 0)
+    cases = [random_space("closure", int(rng.integers(2, 8)), rng) for _ in range(12)]
+    cases += [_progression_space(n) for n in (2, 3, 5, 7)]
+    cases.append(validate(("a", "b"), np.array([[0.0, 0.3], [0.3, 0.0]])))
+    for space in cases:
+        report = ud_modulus(space)
+        expected = orc.ud_witness_by_loops(space.matrix, orc.bottleneck_by_paths(space.matrix))
+        assert (report.delta_star, report.witness_pair) == expected
+    # every pair of an ultrametric ties at ratio 1: its bottleneck is itself
+    ultra = random_space("sequential", 16, rng)
+    report = ud_modulus(ultra)
+    assert orc.ud_witness_by_loops(ultra.matrix, ultra.matrix) == (1.0, (0, 1))
+    assert (report.delta_star, report.witness_pair) == (1.0, (0, 1))
+
+
+@pytest.mark.parametrize(
+    "mode, seed, beta, constant, witness",
+    [
+        ("points_linf", 38, 1.0, 2.5015410387747417, (11, 24, 38)),
+        ("points_linf", 38, 2.0, 2.0859025228914048, (11, 24, 38)),
+        ("closure", 40, 2.0, 3.5865021257340635, (16, 19, 26, 27, 37)),
+    ],
+)
+def test_doubling_sampled_report_is_pinned(mode, seed, beta, constant, witness):
+    # each witness comes from the random subsets: budget=0 scores less
+    space = random_space(mode, 40, trial_rng(seed, 0))
+    report = doubling_constant(space, beta, rng=5)
+    assert (report.constant, report.witness, report.mode) == (constant, witness, "sampled")
+    assert doubling_constant(space, beta, budget=0, rng=5).constant < constant
+
+
 # ---------------------------------------------------------------------------
 # uniform perfectness
 
