@@ -41,6 +41,7 @@ from .spaces import (
     METRIC,
     ULTRAMETRIC,
     FiniteMetricSpace,
+    _rows_per_block,
     validate,
 )
 
@@ -145,20 +146,14 @@ class Embedding:
 _BLOCK_ELEMENTS = 1 << 20
 
 
-def _row_blocks(rows: int, width: int):
-    """Slices covering range(rows) in order, each holding as many rows as
-    keep a (rows in block, width) temporary within _BLOCK_ELEMENTS."""
-    step = max(1, _BLOCK_ELEMENTS // max(1, width))
-    for start in range(0, rows, step):
-        yield slice(start, min(rows, start + step))
-
-
 def pairwise_linf(coords: np.ndarray) -> np.ndarray:
     """Max-norm distance matrix of row vectors (row blocks keep memory flat)."""
     coords = np.asarray(coords, dtype=float)
     n = coords.shape[0]
     out = np.empty((n, n))
-    for block in _row_blocks(n, n * coords.shape[1]):
+    step = _rows_per_block(n * coords.shape[1], _BLOCK_ELEMENTS)
+    for start in range(0, n, step):
+        block = slice(start, start + step)
         diff = coords[block, None, :] - coords[None, :, :]
         out[block] = np.abs(diff, out=diff).max(axis=2)
     return out
@@ -296,7 +291,9 @@ def mcshane_extend(
         )
 
     extended = np.empty((space.n, f.shape[1]))
-    for block in _row_blocks(space.n, f.size):
+    step = _rows_per_block(f.size, _BLOCK_ELEMENTS)
+    for start in range(0, space.n, step):
+        block = slice(start, start + step)
         steps = lip * space.matrix[block][:, subset]
         extended[block] = (f[None, :, :] + steps[:, :, None]).min(axis=1)
     extended[subset] = f

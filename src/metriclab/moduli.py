@@ -28,6 +28,12 @@ from .spaces import FiniteMetricSpace, _subdominant_ultrametric
 # Largest point count for which the doubling search enumerates all subsets.
 EXHAUSTIVE_LIMIT = 15
 
+# Relative margin by which an upper bound on a subset's ratio must fall
+# short of the running best before the doubling search skips the subset:
+# the bound and the ratio each carry a few ulps of ``**`` rounding error,
+# far inside 1e-12, so nothing that could tie or beat the best is skipped.
+_BOUND_MARGIN = 1 + 1e-12
+
 
 @dataclass(frozen=True)
 class Thresholds:
@@ -140,25 +146,47 @@ def _exhaustive_doubling(matrix: np.ndarray, beta: float) -> tuple[float, tuple[
     return best, witness
 
 
-def _ball_prefix_candidates(matrix: np.ndarray, beta: float):
+def _ball_prefix_candidates(matrix: np.ndarray, beta: float, floor):
     """Deterministic candidates: prefixes of every sorted distance row.
 
-    For each center, the points ordered by distance yield nested "balls";
-    diameter and separation are updated incrementally so each center
-    costs O(n^2).  Yields (ratio, witness tuple) of the best prefix per
-    center.
+    For each center c, the points o_0, o_1, ... in stable distance order
+    from c yield nested "balls" P_r = {o_0, ..., o_r}; diameter and
+    separation are running max / min over the rows of the reordered
+    matrix.  Yields (ratio, witness tuple) of the best prefix (the first
+    argmax) per center.
+
+    `floor()` is read once per center, just before it is scored, and
+    centers that cannot reach it are dropped.  P_r contains the pairs
+    (o_1, o_0) and (o_r, o_0), so sep(P_r) <= d(o_1, o_0) and
+    diam(P_r) >= d(o_r, o_0), which bounds its ratio by
+    bound_r = (r+1) * (d(o_1, o_0) / d(o_r, o_0))**beta, one vector per
+    center from a single column.  Division is correctly rounded and
+    monotone and ``**`` is off by a few ulps, so a ratio never exceeds
+    its bound by the _BOUND_MARGIN factor.  A center with no bound_r
+    reaching the floor is skipped; otherwise only the leading block up to
+    the last live prefix is gathered and reduced, which leaves the first
+    argmax unchanged whenever it reaches the floor.  With any floor <=
+    the caller's running best, everything dropped scores strictly below
+    that best, so a search that ignores such candidates stays exact.
     """
     n = matrix.shape[0]
     tril = np.tril(np.ones((n, n), dtype=bool), k=-1)
+    cards = np.arange(2, n + 1, dtype=float)
     for center in range(n):
         order = np.argsort(matrix[center], kind="stable")
-        sub = matrix[order][:, order]
-        rowmax = sub.max(axis=1, where=tril, initial=-np.inf)
-        rowmin = sub.min(axis=1, where=tril, initial=np.inf)
+        arm = matrix[order[1:], order[0]]
+        bounds = cards * (arm[0] / arm) ** beta
+        live = np.nonzero(bounds * _BOUND_MARGIN >= floor())[0]
+        if not live.size:
+            continue
+        size = int(live[-1]) + 2
+        head = order[:size]
+        sub = matrix[head][:, head]
+        rowmax = sub.max(axis=1, where=tril[:size, :size], initial=-np.inf)
+        rowmin = sub.min(axis=1, where=tril[:size, :size], initial=np.inf)
         diam = np.maximum.accumulate(rowmax)[1:]
         sep = np.minimum.accumulate(rowmin)[1:]
-        cards = np.arange(2, n + 1, dtype=float)
-        ratios = cards * (sep / diam) ** beta
+        ratios = cards[: size - 1] * (sep / diam) ** beta
         k = int(np.argmax(ratios))
         witness = tuple(sorted(int(i) for i in order[: k + 2]))
         yield float(ratios[k]), witness
@@ -177,6 +205,18 @@ def doubling_constant(
     over `budget` random subsets, all pairs, the full set, and all
     sorted-row ball prefixes; the result is then a lower bound for the
     true constant and the report says so via mode="sampled".
+
+    The search skips candidates that provably cannot reach the running
+    best, without changing its result.  A random subset A keeps its RNG
+    draws, then one arm d(a_0, a) over its other points a is read:
+    sep(A) <= min arm and diam(A) >= max arm, so
+    card * (min arm / max arm)**beta bounds its ratio, and the O(k^2)
+    gather runs only when that bound, times _BOUND_MARGIN (which covers
+    the rounding error of ``**``), reaches the best.  Ball prefixes
+    are pruned the same way against the running best (see
+    :func:`_ball_prefix_candidates`).  Ties are still scored, so the
+    constant, the witness (least tied subset) and the mode are those of
+    the unpruned search.
     """
     if space.n < 2:
         raise DegenerateSpace("doubling constant needs at least 2 points")
@@ -203,11 +243,15 @@ def doubling_constant(
     consider(2.0, (0, 1))
     off = ~np.eye(n, dtype=bool)
     consider(_subset_ratio(beta, n, float(m.max()), float(m[off].min())), tuple(range(n)))
-    for ratio, subset in _ball_prefix_candidates(m, beta):
+    for ratio, subset in _ball_prefix_candidates(m, beta, lambda: best):
         consider(ratio, subset)
     for _ in range(budget):
         k = int(generator.integers(2, n + 1))
-        idx = np.sort(generator.choice(n, size=k, replace=False))
+        chosen = generator.choice(n, size=k, replace=False)
+        arm = m[chosen[0], chosen[1:]]
+        if _subset_ratio(beta, k, float(arm.max()), float(arm.min())) * _BOUND_MARGIN < best:
+            continue
+        idx = np.sort(chosen)
         sub = m[idx][:, idx]
         diam = float(sub.max())
         np.fill_diagonal(sub, np.inf)

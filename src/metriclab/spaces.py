@@ -177,6 +177,17 @@ def _subdominant_ultrametric(matrix: np.ndarray) -> np.ndarray:
     return squareform(cophenet(merge_tree))
 
 
+# Elements (512 KiB of floats) in one row block of the triangle scan, so
+# its temporary stays within a core's L2 cache.
+_SCAN_BLOCK_ELEMENTS = 1 << 16
+
+
+def _rows_per_block(width: int, budget: int) -> int:
+    """Rows in one block of a row-blocked kernel: as many as keep a
+    (rows, width) temporary within `budget` elements, and at least one."""
+    return max(1, budget // max(1, width))
+
+
 def _first_triangle_violation(matrix: np.ndarray, slack: float, strong: bool):
     """Lexicographically first (i, j, k) violating the (strong) triangle
     inequality, or None.
@@ -189,13 +200,23 @@ def _first_triangle_violation(matrix: np.ndarray, slack: float, strong: bool):
     only (d(k, j) = d(j, k)), by one min-reduce over k per row.  Since
     fl(b + slack) is monotone in b, d(i, j) exceeds min_k b + slack exactly
     when it exceeds some b + slack, and k is then the first such index in
-    row j.  Memory stays at O(n^2).
+    row j.  The rows j > i are walked in row blocks of at most
+    _SCAN_BLOCK_ELEMENTS entries, combined into one preallocated buffer
+    that stays in cache, and each block's minima land in one vector of
+    row minima; the first bad j in it is the least one, so the witness is
+    unchanged.  Memory stays at O(n^2).
     """
     n = matrix.shape[0]
     combine = np.maximum if strong else np.add
+    step = _rows_per_block(n, _SCAN_BLOCK_ELEMENTS)
+    buffer = np.empty((min(step, n), n))
+    mins = np.empty(n)
     for i in range(n - 1):
         row = matrix[i]
-        bad = row[i + 1 :] > combine(matrix[i + 1 :], row).min(axis=1) + slack
+        for start in range(i + 1, n, step):
+            rows = matrix[start : start + step]
+            combine(rows, row, out=buffer[: len(rows)]).min(axis=1, out=mins[start : start + step])
+        bad = row[i + 1 :] > mins[i + 1 :] + slack
         if bad.any():
             j = i + 1 + int(np.argmax(bad))
             k = int(np.argmax(row[j] > combine(row, matrix[j]) + slack))

@@ -152,6 +152,51 @@ def doubling_by_subsets(matrix: np.ndarray, beta: float) -> tuple[float, tuple[i
     return best, witness
 
 
+def doubling_sampled_by_full_scan(
+    matrix: np.ndarray, beta: float, budget: int, seed
+) -> tuple[float, tuple[int, ...]]:
+    """The sampled doubling search (n > 15) with nothing skipped.
+
+    Candidates, in order: the pair (0, 1), the full set, the best sorted
+    ball prefix of every center, and `budget` random subsets drawn as
+    integers(2, n + 1) then choice(n, k, replace=False) from
+    default_rng(seed).  Every candidate is scored; ties go to the
+    lexicographically least index tuple.
+    """
+    n = matrix.shape[0]
+    generator = np.random.default_rng(seed)
+    best = -math.inf
+    witness: tuple[int, ...] = ()
+
+    def consider(ratio, subset):
+        nonlocal best, witness
+        if ratio > best or (ratio == best and subset < witness):
+            best = ratio
+            witness = subset
+
+    consider(2.0, (0, 1))
+    off = ~np.eye(n, dtype=bool)
+    consider(n * (float(matrix[off].min()) / float(matrix.max())) ** beta, tuple(range(n)))
+    for center in range(n):
+        order = np.argsort(matrix[center], kind="stable")
+        sub = matrix[np.ix_(order, order)]
+        tril = np.tril(np.ones((n, n), dtype=bool), k=-1)
+        rowmax = np.where(tril, sub, -np.inf).max(axis=1)
+        rowmin = np.where(tril, sub, np.inf).min(axis=1)
+        diam = np.maximum.accumulate(rowmax)[1:]
+        sep = np.minimum.accumulate(rowmin)[1:]
+        ratios = np.arange(2, n + 1, dtype=float) * (sep / diam) ** beta
+        k = int(np.argmax(ratios))
+        consider(float(ratios[k]), tuple(sorted(int(i) for i in order[: k + 2])))
+    for _ in range(budget):
+        k = int(generator.integers(2, n + 1))
+        idx = np.sort(generator.choice(n, size=k, replace=False))
+        block = matrix[np.ix_(idx, idx)]
+        vals = block[off[:k, :k]]
+        consider(k * (float(vals.min()) / float(vals.max())) ** beta, tuple(idx.tolist()))
+    return best, witness
+
+
 def up_constant_by_radii(matrix: np.ndarray, r_min: float, eta: float = 1e-9) -> float:
     """Annulus constant by a 2-D scan over (point, critical radius).
 

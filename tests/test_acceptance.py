@@ -60,11 +60,13 @@ def _verdict(k: int, detail: str) -> None:
     print(f"ACCEPTANCE {k}: PASS — {detail}")
 
 
-def test_criterion_1_metric_amalgamation_bound():
-    started = time.monotonic()
+def _metric_amalgams(mode: str, n: int, seed: int) -> list[tuple[int, float]]:
+    """Carve and amalgamate TRIALS hosts, asserting the criterion-1 bounds;
+    return (largest piece size, sup distance / eps) per trial."""
+    stats = []
     for trial in range(TRIALS):
-        rng = trial_rng(101, trial)
-        host = random_space("closure", 64, rng)
+        rng = trial_rng(seed, trial)
+        host = random_space(mode, n, rng)
         eps = host.diameter / 8.0
         partition = carve_pieces(host, eps)
         pieces = [
@@ -73,16 +75,37 @@ def test_criterion_1_metric_amalgamation_bound():
         ]
         assert all(piece.diameter <= eps for piece in pieces)
         out = amalgamate_metric(host, partition, pieces)
-        assert sup_distance(out, host).value <= SUP_BOUND_FACTOR * eps
+        sup = sup_distance(out, host).value
+        assert sup <= SUP_BOUND_FACTOR * eps
         for k, piece in enumerate(partition.pieces):
             block = out.matrix[np.ix_(piece, piece)]
             assert np.array_equal(block, pieces[k].matrix)
+        stats.append((max(len(piece) for piece in partition.pieces), sup / eps))
+    return stats
+
+
+def test_criterion_1_metric_amalgamation_bound():
+    started = time.monotonic()
+    _metric_amalgams("closure", 64, 101)
     elapsed = time.monotonic() - started
     assert elapsed < AMALGAM_TIME_LIMIT_S
     _verdict(
         1,
         f"{TRIALS}/{TRIALS} amalgams within 4*eps with bit-exact piece "
         f"restrictions in {elapsed:.2f}s",
+    )
+
+
+def test_criterion_1_metric_amalgamation_bound_on_point_hosts():
+    # closure hosts carve into singletons only, so the amalgam is the host;
+    # planar max-norm hosts carve into real pieces and move distances
+    stats = _metric_amalgams("points_linf", 128, 111)
+    assert all(largest >= 2 and ratio > 0 for largest, ratio in stats)
+    worst = max(ratio for _, ratio in stats)
+    _verdict(
+        1,
+        f"{TRIALS}/{TRIALS} point-host amalgams with multi-point pieces within "
+        f"4*eps (worst sup/eps {worst:.2f})",
     )
 
 
@@ -103,13 +126,17 @@ def test_criterion_2_ultrametric_amalgamation_bound():
     )
 
 
-def test_criterion_3_doubling_approximation():
+def _doubling_approximations(mode: str, n: int, seed: int) -> list[tuple[int, float]]:
+    """Approximate TRIALS hosts through their nets, asserting the
+    criterion-3 bounds; return (net size, sup distance / eps) per trial."""
+    stats = []
     for trial in range(TRIALS):
-        rng = trial_rng(103, trial)
-        host = random_space("closure", 64, rng)
+        rng = trial_rng(seed, trial)
+        host = random_space(mode, n, rng)
         eps = host.diameter / 8.0
         out, embedding = approximate_doubling(host, eps)
-        assert sup_distance(out, host).value <= SUP_BOUND_FACTOR * eps
+        sup = sup_distance(out, host).value
+        assert sup <= SUP_BOUND_FACTOR * eps
         linf = embedding.pairwise_linf()
         assert np.array_equal(out.matrix, linf)
         assert np.abs(out.matrix - linf).max() <= EMBED_ATOL * host.diameter
@@ -118,10 +145,31 @@ def test_criterion_3_doubling_approximation():
         off = block[~np.eye(len(net), dtype=bool)]
         assert len(net) == 1 or off.min() >= eps
         assert host.matrix[:, net].min(axis=1).max() < eps
+        stats.append((len(net), sup / eps))
+    return stats
+
+
+def test_criterion_3_doubling_approximation():
+    _doubling_approximations("closure", 64, 103)
     _verdict(
         3,
         f"{TRIALS}/{TRIALS} outputs within 4*eps, bit-identical to their "
         f"max-norm embeddings, over eps-separated eps-covering nets",
+    )
+
+
+def test_criterion_3_doubling_approximation_on_point_hosts():
+    # closure hosts keep every point in the net; on planar max-norm hosts
+    # the net is a proper subset and the embedding moves distances
+    n = 128
+    stats = _doubling_approximations("points_linf", n, 113)
+    assert all(1 < size < n and ratio > 0 for size, ratio in stats)
+    sizes = [size for size, _ in stats]
+    worst = max(ratio for _, ratio in stats)
+    _verdict(
+        3,
+        f"{TRIALS}/{TRIALS} point-host outputs within 4*eps over nets of "
+        f"{min(sizes)}-{max(sizes)} of {n} points (worst sup/eps {worst:.2f})",
     )
 
 

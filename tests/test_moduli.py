@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles as orc
+from metriclab import moduli
 from metriclab import (
     BadScaleCutoff,
     DegenerateSpace,
@@ -12,6 +15,8 @@ from metriclab import (
     bottleneck_matrix,
     classify,
     doubling_constant,
+    geometric_range_set,
+    random_s_ultrametric,
     random_space,
     subset_stats,
     trial_rng,
@@ -185,6 +190,64 @@ def test_doubling_sampled_report_is_pinned(mode, seed, beta, constant, witness):
     report = doubling_constant(space, beta, rng=5)
     assert (report.constant, report.witness, report.mode) == (constant, witness, "sampled")
     assert doubling_constant(space, beta, budget=0, rng=5).constant < constant
+
+
+def _doubling_host(kind: str, n: int, seed: int) -> FiniteMetricSpace:
+    if kind == "uniform":
+        return _uniform_space(n)
+    if kind == "s_ultrametric":  # few distinct values: many tied ratios
+        return random_s_ultrametric(n, geometric_range_set(0.5), trial_rng(seed, 0))
+    return random_space(kind, n, trial_rng(seed, 0))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["closure", "points_linf", "sequential", "s_ultrametric", "uniform"]),
+    st.integers(min_value=EXHAUSTIVE_LIMIT + 1, max_value=64),
+    st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=2**16),
+)
+def test_doubling_sampled_matches_the_unpruned_search(kind, n, beta, budget, seed):
+    # the pruned search skips only candidates strictly below the running
+    # best, so constant, witness and mode equal those of the full scan
+    space = _doubling_host(kind, n, seed)
+    report = doubling_constant(space, beta, budget=budget, rng=seed)
+    expected = orc.doubling_sampled_by_full_scan(space.matrix, beta, budget, seed)
+    assert (report.constant, report.witness, report.mode) == (*expected, "sampled")
+
+
+def test_doubling_sampled_scores_subsets_that_tie_the_best():
+    # eight pairs at 0.25, everything else at 1: only the 2**8 one-per-pair
+    # transversals reach 8, and the ball prefixes (each holding a pair)
+    # find none.  With rng=1 three transversals are drawn, each scoring
+    # exactly 8 with an arm bound of exactly 8, and each later one is
+    # lexicographically smaller: skipping a tie would keep the first.
+    pair_of = np.arange(16) // 2
+    matrix = np.where(pair_of[:, None] == pair_of[None, :], 0.25, 1.0)
+    np.fill_diagonal(matrix, 0.0)
+    space = validate([f"p{i}" for i in range(16)], matrix, flavor="ultrametric")
+    report = doubling_constant(space, 1.0, budget=2000, rng=1)
+    expected = orc.doubling_sampled_by_full_scan(matrix, 1.0, 2000, 1)
+    assert (report.constant, report.witness) == expected
+    assert expected == (8.0, (1, 2, 5, 7, 8, 11, 13, 14))
+
+
+def test_doubling_bounds_skip_most_random_subsets(monkeypatch):
+    # only a sample whose arm bound reaches the best gets the O(k^2)
+    # gather, which alone calls fill_diagonal
+    space = random_space("points_linf", 200, trial_rng(41, 0))
+    fill_diagonal = np.fill_diagonal
+    calls = []
+
+    def spy(a, val, wrap=False):
+        calls.append(a.shape[0])
+        fill_diagonal(a, val, wrap)
+
+    monkeypatch.setattr(moduli.np, "fill_diagonal", spy)
+    report = doubling_constant(space, 2.0, budget=2000, rng=0)
+    assert report.mode == "sampled"
+    assert len(calls) < 200
 
 
 # ---------------------------------------------------------------------------

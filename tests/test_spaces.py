@@ -232,6 +232,25 @@ def test_diagnose_witness_matches_loop_oracle(n, seed, shape, scale, tol, flavor
     assert got == expected
 
 
+@pytest.mark.parametrize("block_rows", [1, 3])
+def test_triangle_scan_witness_is_kept_across_row_blocks(block_rows, monkeypatch):
+    # the rows j > i are walked in blocks of block_rows rows, so the first
+    # violation sits in a later block in most of these matrices
+    rng = np.random.default_rng(block_rows)
+    later_blocks = 0
+    for trial in range(150):
+        n = int(rng.integers(3, 13))
+        monkeypatch.setattr(spaces, "_SCAN_BLOCK_ELEMENTS", block_rows * n)
+        shape = ("ultrametric_bumped", "metric_bumped", "loose")[trial % 3]
+        matrix = _planted_matrix(rng, n, shape)
+        for strong in (False, True):
+            expected = orc.first_triangle_violation_by_loops(matrix, 0.0, strong)
+            assert spaces._first_triangle_violation(matrix, 0.0, strong) == expected
+            if expected is not None and expected[1] - expected[0] > block_rows:
+                later_blocks += 1
+    assert later_blocks >= 20
+
+
 @pytest.mark.parametrize(
     "matrix",
     [
