@@ -22,11 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cantor import (
-    _valuation_matrix,
-    cantor_prefix_metric,
-    geometric_prefix_ultrametric,
-)
+from .cantor import _rung_matrix, cantor_prefix_metric, geometric_prefix_ultrametric
 from .errors import (
     NotLipschitzOnSubset,
     NotUltrametric,
@@ -34,7 +30,7 @@ from .errors import (
     TooFewPoints,
     ValueOutsideRangeSet,
 )
-from .moduli import UDReport, ud_modulus, up_constant
+from .moduli import UDReport, ud_modulus, up_report
 from .rangesets import RangeSet, contains, greatest_leq, ladder
 from .spaces import (
     DEFAULT_TOL,
@@ -429,35 +425,28 @@ def default_metric_piece(labels, target_diameter: float) -> FiniteMetricSpace:
 def approximate_ud(
     d: FiniteMetricSpace,
     eps: float,
-    piece_builder=None,
     S: RangeSet | None = None,
     tol: float = DEFAULT_TOL,
 ) -> tuple[FiniteMetricSpace, UDReport]:
     """Replace d by a uniformly disconnected metric within 4 * eps.
 
     Pieces of diameter <= eps are carved greedily and replaced by
-    ultrametrics of diameter <= eps (default: geometric sequential
-    ladders), then glued by the sum form.  When a range set S is given
-    the host must be an S-valued ultrametric; the pieces take their
-    rungs from S and the max form is used instead, moving d by at most
-    eps in the range-set ultrametric distance.  The measured
-    disconnectedness modulus of the output ships with it.
+    geometric sequential ultrametrics of diameter <= eps
+    (:func:`default_metric_piece`), then glued by the sum form.  When a
+    range set S is given the host must be an S-valued ultrametric; the
+    pieces take their rungs from S and the max form is used instead,
+    moving d by at most eps in the range-set ultrametric distance.  The
+    measured disconnectedness modulus of the output ships with it.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     partition = carve_pieces(d, eps)
-    piece_spaces = []
-    for piece in partition.pieces:
-        labels = tuple(d.labels[i] for i in piece)
-        if piece_builder is not None:
-            piece_spaces.append(piece_builder(labels, eps))
-        elif S is None:
-            piece_spaces.append(default_metric_piece(labels, eps))
-        else:
-            piece_spaces.append(_s_valued_piece(labels, eps, S))
+    piece_labels = [tuple(d.labels[i] for i in piece) for piece in partition.pieces]
     if S is None:
+        piece_spaces = [default_metric_piece(labels, eps) for labels in piece_labels]
         out = amalgamate_metric(d, partition, piece_spaces, tol=tol)
     else:
+        piece_spaces = [_s_valued_piece(labels, eps, S) for labels in piece_labels]
         out = amalgamate_ultrametric(d, partition, piece_spaces, S, tol=tol)
     return out, ud_modulus(out)
 
@@ -472,9 +461,7 @@ def _s_valued_piece(labels, eps: float, S: RangeSet) -> FiniteMetricSpace:
     if top == 0.0:
         raise ValueOutsideRangeSet(f"no positive element of S lies below {eps!r}")
     depth = math.ceil(math.log2(count))
-    rungs = ladder(S, top, depth)
-    table = np.append(np.asarray(rungs, dtype=float), 0.0)
-    matrix = table[_valuation_matrix(depth)][:count, :count]
+    matrix = _rung_matrix(ladder(S, top, depth), count)
     return validate(tuple(labels), matrix, flavor=ULTRAMETRIC)
 
 
@@ -533,15 +520,9 @@ def approximate_up(
     out = amalgamate_metric(d, partition, piece_spaces, tol=tol)
 
     r_min = min(piece.separation for piece in piece_spaces)
-    piece_cs = [
-        up_constant(piece, r_min).c_star if piece.diameter > r_min else 0.0
-        for piece in piece_spaces
-    ]
+    piece_cs = [up_report(piece, r_min).c_star for piece in piece_spaces]
     min_piece_diameter = min(piece.diameter for piece in piece_spaces)
-    if out.diameter > r_min:
-        c_star = up_constant(out, r_min).c_star
-    else:
-        c_star = 0.0
+    c_star = up_report(out, r_min).c_star
     bound = 0.5 * min(min(piece_cs), min_piece_diameter / out.diameter)
     report = UPApproximation(
         c_star=c_star,

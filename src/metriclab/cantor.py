@@ -85,6 +85,13 @@ def _valuation_matrix(depth: int) -> np.ndarray:
     return depth - bit_length[xor]
 
 
+def _rung_matrix(rungs, count: int) -> np.ndarray:
+    """d(x, y) = rungs[valuation(x, y)] over the first `count` strings of
+    depth len(rungs), with 0 on the diagonal."""
+    table = np.append(np.asarray(rungs, dtype=float), 0.0)
+    return table[_valuation_matrix(len(rungs))[:count, :count]]
+
+
 def sequential_metric(s: ShrinkingSequence, depth: int) -> FiniteMetricSpace:
     """Ultrametric d(x, y) = s(valuation(x, y)) on all strings of `depth`."""
     points = BinaryPointSet(depth)
@@ -92,8 +99,7 @@ def sequential_metric(s: ShrinkingSequence, depth: int) -> FiniteMetricSpace:
         raise SequenceTooShort(
             f"need at least {depth} values, sequence has {len(s)}"
         )
-    table = np.append(np.asarray(s.values[:depth], dtype=float), 0.0)
-    matrix = table[_valuation_matrix(depth)]
+    matrix = _rung_matrix(s.values[:depth], points.count)
     return validate(points.labels, matrix, flavor=ULTRAMETRIC)
 
 
@@ -164,8 +170,7 @@ def geometric_prefix_ultrametric(
         return FiniteMetricSpace(("0",), np.zeros((1, 1)), flavor=ULTRAMETRIC)
     depth = math.ceil(math.log2(count))
     points = BinaryPointSet(depth)
-    table = np.append(top * ratio ** np.arange(depth, dtype=float), 0.0)
-    matrix = table[_valuation_matrix(depth)][:count, :count]
+    matrix = _rung_matrix(top * ratio ** np.arange(depth, dtype=float), count)
     return validate(points.labels[:count], matrix, flavor=ULTRAMETRIC)
 
 

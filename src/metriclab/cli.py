@@ -17,10 +17,9 @@ configs are all JSON files; see the README for the exact shapes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-
-import numpy as np
 
 from .build import (
     ClopenPartition,
@@ -31,7 +30,7 @@ from .build import (
     approximate_up,
 )
 from .cantor import generate_type, sequential_metric
-from .errors import MetricLabError
+from .errors import MetricLabError, ValidationError
 from .jsontext import dumps
 from .lab import ExperimentConfig, render_report, run_experiment
 from .moduli import (
@@ -46,7 +45,7 @@ from .rangesets import (
     sequence_from_json,
     sequence_to_json,
 )
-from .spaces import FiniteMetricSpace, diagnose, space_from_json, space_to_json
+from .spaces import space_from_json, space_to_json
 
 
 def _load_json(path: str):
@@ -68,29 +67,19 @@ def _emit(obj, out: str | None, rendered: str | None = None) -> None:
 
 
 def _cmd_validate(args) -> int:
-    obj = _load_json(args.file)
-    labels = tuple(str(v) for v in obj["labels"])
-    flavor = obj.get("flavor", "metric")
-    matrix = np.array(obj["matrix"], dtype=float)
-    violation = diagnose(labels, matrix, flavor=flavor, tol=args.tol)
-    if violation is None:
-        space = FiniteMetricSpace(labels, matrix, flavor)
+    try:
+        space = space_from_json(_load_json(args.file), tol=args.tol)
+    except ValidationError as exc:
         result = {
-            "valid": True,
-            "n": space.n,
-            "flavor": space.flavor,
-            "diameter": space.diameter if space.n > 1 else 0.0,
+            "valid": False,
+            "axiom": exc.axiom,
+            "indices": list(exc.indices),
+            "message": str(exc),
         }
-        _emit(result, args.out)
-        return 0
-    result = {
-        "valid": False,
-        "axiom": violation.axiom,
-        "indices": list(violation.indices),
-        "message": violation.message,
-    }
+    else:
+        result = {"valid": True, "n": space.n, "flavor": space.flavor, "diameter": space.diameter}
     _emit(result, args.out)
-    return 1
+    return 0 if result["valid"] else 1
 
 
 def _thresholds_from_args(args) -> Thresholds:
@@ -98,12 +87,7 @@ def _thresholds_from_args(args) -> Thresholds:
     if getattr(args, "thresholds", None):
         thresholds = Thresholds.from_json(_load_json(args.thresholds))
     if getattr(args, "beta", None) is not None:
-        thresholds = Thresholds(
-            beta0=args.beta,
-            c_max=thresholds.c_max,
-            delta_min=thresholds.delta_min,
-            c_min=thresholds.c_min,
-        )
+        thresholds = dataclasses.replace(thresholds, beta0=args.beta)
     return thresholds
 
 

@@ -29,22 +29,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .build import (
-    ClopenPartition,
     amalgamate_metric,
     approximate_doubling,
     approximate_ud,
     approximate_up,
     carve_pieces,
+    default_metric_piece,
     pairwise_linf,
 )
-from .cantor import (
-    BinaryPointSet,
-    _point_labels,
-    _ring_matrix,
-    _valuation_matrix,
-    generate_type,
-    geometric_prefix_ultrametric,
-)
+from .cantor import BinaryPointSet, _point_labels, _ring_matrix, _rung_matrix, generate_type
 from .errors import GenerationFailed, MetricLabError
 from .jsontext import dumps
 from .moduli import (
@@ -53,7 +46,7 @@ from .moduli import (
     classify,
     doubling_constant,
     ud_modulus,
-    up_constant,
+    up_report,
 )
 from .rangesets import RangeSet, geometric_range_set
 from .spaces import (
@@ -243,8 +236,7 @@ def random_space(mode: str, size: int, seed) -> FiniteMetricSpace:
         rungs = np.sort(rng.uniform(0.05, 1.0, size=depth))[::-1]
         while len(set(rungs.tolist())) < depth:  # vanishing probability
             rungs = np.sort(rng.uniform(0.05, 1.0, size=depth))[::-1]
-        table = np.append(rungs, 0.0)
-        matrix = table[_valuation_matrix(depth)][:size, :size]
+        matrix = _rung_matrix(rungs, size)
         points = BinaryPointSet(depth)
         return validate(points.labels[:size], matrix, flavor=ULTRAMETRIC)
     raise ValueError(f"unknown random_space mode {mode!r}")
@@ -260,10 +252,7 @@ def random_s_ultrametric(size: int, S: RangeSet, seed) -> FiniteMetricSpace:
     rng = _rng_of(seed)
     depth = max(1, math.ceil(math.log2(size)))
     exponents = np.sort(rng.choice(2 * depth, size=depth, replace=False))
-    table = np.append(
-        np.array([S.scale * S.ratio ** int(e) for e in exponents]), 0.0
-    )
-    matrix = table[_valuation_matrix(depth)][:size, :size]
+    matrix = _rung_matrix([S.scale * S.ratio ** int(e) for e in exponents], size)
     points = BinaryPointSet(depth)
     return validate(points.labels[:size], matrix, flavor=ULTRAMETRIC)
 
@@ -274,94 +263,67 @@ def _absolute_epsilon(config: ExperimentConfig, space: FiniteMetricSpace) -> flo
     return config.epsilon * space.diameter
 
 
-def _c_star_or_zero(space: FiniteMetricSpace, r_min: float) -> float:
-    if not 0 < r_min < space.diameter:
-        return 0.0
-    return up_constant(space, r_min).c_star
+# Per dense experiment: the host sampler and the modulus recorded on the
+# host and on the output.  S-valued hosts ("s_ultrametric") are measured
+# in the ultrametric distance over S with bound eps, the others in the
+# sup distance with bound 4 * eps.
+_DENSE_KINDS = {
+    "dense_doubling": ("closure", "doubling"),
+    "dense_ud": ("points_linf", "delta_star"),
+    "dense_up": ("points_linf", "c_star"),
+    "dense_ult_doubling": ("s_ultrametric", "doubling"),
+    "dense_ult_up": ("s_ultrametric", "c_star"),
+}
+
+
+def _modulus(name: str, space: FiniteMetricSpace, thresholds: Thresholds) -> float:
+    if name == "doubling":
+        return doubling_constant(space, thresholds.beta0, budget=_RECORD_BUDGET).constant
+    if name == "delta_star":
+        return ud_modulus(space).delta_star
+    return up_report(space, space.separation).c_star
 
 
 def _dense_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
     rng = trial_rng(config.seed, trial)
-    kind = config.experiment
-    if kind == "dense_doubling":
-        host = random_space("closure", config.n, rng)
-    elif kind in ("dense_ud", "dense_up"):
-        host = random_space("points_linf", config.n, rng)
+    sampler, modulus = _DENSE_KINDS[config.experiment]
+    S = geometric_range_set(0.5) if sampler == "s_ultrametric" else None
+    if S is None:
+        host = random_space(sampler, config.n, rng)
     else:
-        S = geometric_range_set(0.5)
         host = random_s_ultrametric(config.n, S, rng)
     eps = _absolute_epsilon(config, host)
-    digest = matrix_digest(host)
+    before = {modulus: _modulus(modulus, host, config.thresholds)}
 
-    if kind == "dense_doubling":
-        before = {
-            "doubling": doubling_constant(
-                host, config.thresholds.beta0, budget=_RECORD_BUDGET
-            ).constant
-        }
+    scale, holds = eps, True  # the bound's eps and the pipeline's own check
+    if config.experiment == "dense_doubling":
         out, embedding = approximate_doubling(host, eps)
-        achieved = sup_distance(out, host).value
-        bound = 4 * eps
-        after = {
-            "doubling": doubling_constant(
-                out, config.thresholds.beta0, budget=_RECORD_BUDGET
-            ).constant,
-            "embedding_dimension": float(embedding.dimension),
-        }
-        passed = achieved <= bound
-    elif kind == "dense_ud":
-        before = {"delta_star": ud_modulus(host).delta_star}
-        out, report = approximate_ud(host, eps)
-        achieved = sup_distance(out, host).value
-        bound = 4 * eps
-        after = {"delta_star": report.delta_star}
-        passed = achieved <= bound and report.delta_star > 0
-    elif kind == "dense_up":
-        before = {"c_star": _c_star_or_zero(host, host.separation)}
+        after = {"embedding_dimension": float(embedding.dimension)}
+    elif config.experiment == "dense_up":
         out, report = approximate_up(host, eps)
-        achieved = sup_distance(out, host).value
-        bound = 4 * report.eps_effective
+        scale, holds = report.eps_effective, report.c_star >= report.bound
         after = {
             "c_star": report.c_star,
             "heredity_floor": report.bound,
             "eps_effective": report.eps_effective,
         }
-        passed = achieved <= bound and report.c_star >= report.bound
-    elif kind == "dense_ult_doubling":
-        S = geometric_range_set(0.5)
-        before = {
-            "doubling": doubling_constant(
-                host, config.thresholds.beta0, budget=_RECORD_BUDGET
-            ).constant
-        }
+    else:
         out, report = approximate_ud(host, eps, S=S)
-        achieved = ultra_distance(out, host, S).value
-        bound = eps
-        after = {
-            "doubling": doubling_constant(
-                out, config.thresholds.beta0, budget=_RECORD_BUDGET
-            ).constant,
-            "delta_star": report.delta_star,
-        }
-        passed = achieved <= bound
-    else:  # dense_ult_up
-        S = geometric_range_set(0.5)
-        before = {"c_star": _c_star_or_zero(host, host.separation)}
-        out, report = approximate_ud(host, eps, S=S)
-        achieved = ultra_distance(out, host, S).value
-        bound = eps
-        after = {
-            "c_star": _c_star_or_zero(out, out.separation),
-            "delta_star": report.delta_star,
-        }
-        passed = achieved <= bound
+        holds = report.delta_star > 0
+        after = {"delta_star": report.delta_star}
+    if S is None:
+        achieved, bound = sup_distance(out, host).value, 4 * scale
+    else:
+        achieved, bound = ultra_distance(out, host, S).value, scale
+    if modulus not in after:
+        after[modulus] = _modulus(modulus, out, config.thresholds)
     return TrialRecord(
         trial=trial,
-        digest=digest,
+        digest=matrix_digest(host),
         epsilon=eps,
         achieved=float(achieved),
         bound=float(bound),
-        passed=bool(passed),
+        passed=bool(achieved <= bound and holds),
         before=before,
         after=after,
     )
@@ -531,15 +493,13 @@ def _gapped_ladder_matrix(count: int, diameter: float) -> np.ndarray:
     depth = math.ceil(math.log2(count))
     rungs = [diameter * 0.5 ** k for k in range(depth - 1)]
     rungs.append(0.01 * diameter * 0.5 ** max(0, depth - 2))
-    table = np.append(np.array(rungs), 0.0)
-    return table[_valuation_matrix(depth)][:count, :count]
+    return _rung_matrix(rungs, count)
 
 
 def _grid_piece(style: str, labels, eps: float) -> FiniteMetricSpace:
     count = len(labels)
     if style == "geo":
-        piece = geometric_prefix_ultrametric(count, top=eps)
-        return FiniteMetricSpace(tuple(labels), piece.matrix, flavor=ULTRAMETRIC)
+        return default_metric_piece(labels, eps)
     if style == "ring":
         return validate(
             tuple(labels), _ring_matrix(count, eps / (count // 2)), flavor=METRIC

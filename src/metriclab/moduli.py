@@ -18,7 +18,7 @@ returns the resulting bit vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -45,22 +45,14 @@ class Thresholds:
     c_min: float = 0.05
 
     def to_json(self) -> dict:
-        return {
-            "beta0": self.beta0,
-            "c_max": self.c_max,
-            "delta_min": self.delta_min,
-            "c_min": self.c_min,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "Thresholds":
-        base = cls()
-        return cls(
-            beta0=float(obj.get("beta0", base.beta0)),
-            c_max=float(obj.get("c_max", base.c_max)),
-            delta_min=float(obj.get("delta_min", base.delta_min)),
-            c_min=float(obj.get("c_min", base.c_min)),
-        )
+        try:
+            return cls(**{f.name: float(obj.get(f.name, f.default)) for f in fields(cls)})
+        except (AttributeError, TypeError) as exc:
+            raise ValueError(f"malformed thresholds object: {exc}") from exc
 
 
 DEFAULT_THRESHOLDS = Thresholds()
@@ -327,6 +319,15 @@ def up_constant(space: FiniteMetricSpace, r_min: float) -> UPReport:
     return UPReport(best, r_min, witness)
 
 
+def up_report(space: FiniteMetricSpace, r_min: float) -> UPReport:
+    """:func:`up_constant`, except that an empty scale window
+    [r_min, diameter) (two-point and uniform spaces) gives c* = 0 with
+    degenerate=True instead of raising."""
+    if r_min >= space.diameter:
+        return UPReport(0.0, r_min, (0, r_min), degenerate=True)
+    return up_constant(space, r_min)
+
+
 def classify(
     space: FiniteMetricSpace,
     thresholds: Thresholds | None = None,
@@ -346,10 +347,7 @@ def classify(
     doubling = doubling_constant(space, thresholds.beta0, budget=budget, rng=rng)
     ud = ud_modulus(space)
     cutoff = space.separation if r_min is None else float(r_min)
-    if cutoff >= space.diameter:
-        up = UPReport(0.0, cutoff, (0, cutoff), degenerate=True)
-    else:
-        up = up_constant(space, cutoff)
+    up = up_report(space, cutoff)
     return TypeVector(
         u1=int(doubling.constant <= thresholds.c_max),
         u2=int(ud.delta_star >= thresholds.delta_min),

@@ -224,6 +224,39 @@ def _first_triangle_violation(matrix: np.ndarray, slack: float, strong: bool):
     return None
 
 
+def _entry_violation(labels, m: np.ndarray):
+    """Shape and finiteness (ValueError), then the entry-level axioms in
+    order: zero diagonal (exact), symmetry (exact), positivity (strict).
+    Returns the first :class:`Violation`, or None."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("matrix must be square")
+    if m.shape[0] != len(tuple(labels)):
+        raise ValueError("matrix side must equal the number of labels")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    diag = np.diagonal(m)
+    if (diag != 0).any():
+        i = int(np.nonzero(diag != 0)[0][0])
+        return Violation(
+            "zero_diagonal", (i, i), f"diagonal entry ({i},{i}) = {float(m[i, i])!r} != 0"
+        )
+    asym = m != m.T
+    if asym.any():
+        i, j = (int(v) for v in np.argwhere(asym)[0])
+        return Violation(
+            "symmetry",
+            (i, j),
+            f"entry ({i},{j}) = {float(m[i, j])!r} differs from ({j},{i}) = {float(m[j, i])!r}",
+        )
+    nonpos = ~np.eye(m.shape[0], dtype=bool) & (m <= 0)
+    if nonpos.any():
+        i, j = (int(v) for v in np.argwhere(nonpos)[0])
+        return Violation(
+            "positivity", (i, j), f"off-diagonal entry ({i},{j}) = {float(m[i, j])!r} <= 0"
+        )
+    return None
+
+
 def diagnose(labels, matrix, flavor: str = METRIC, tol: float = DEFAULT_TOL):
     """Check the axioms in order; return a :class:`Violation` or None.
 
@@ -244,36 +277,10 @@ def diagnose(labels, matrix, flavor: str = METRIC, tol: float = DEFAULT_TOL):
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
+    violation = _entry_violation(labels, m)
+    if violation is not None:
+        return violation
     n = m.shape[0]
-    if n != len(tuple(labels)):
-        raise ValueError("matrix side must equal the number of labels")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
-
-    diag = np.diagonal(m)
-    if (diag != 0).any():
-        i = int(np.nonzero(diag != 0)[0][0])
-        return Violation(
-            "zero_diagonal", (i, i), f"diagonal entry ({i},{i}) = {float(m[i, i])!r} != 0"
-        )
-    asym = m != m.T
-    if asym.any():
-        i, j = (int(v) for v in np.argwhere(asym)[0])
-        return Violation(
-            "symmetry",
-            (i, j),
-            f"entry ({i},{j}) = {float(m[i, j])!r} differs from ({j},{i}) = {float(m[j, i])!r}",
-        )
-    offdiag = ~np.eye(n, dtype=bool)
-    nonpos = offdiag & (m <= 0)
-    if nonpos.any():
-        i, j = (int(v) for v in np.argwhere(nonpos)[0])
-        return Violation(
-            "positivity", (i, j), f"off-diagonal entry ({i},{j}) = {float(m[i, j])!r} <= 0"
-        )
-
     if flavor == ULTRAMETRIC and np.array_equal(m, _subdominant_ultrametric(m)):
         return None
     slack = tol * float(m.max()) if n > 1 else 0.0
@@ -377,38 +384,22 @@ def metric_closure(labels, raw) -> FiniteMetricSpace:
     """Shortest-path repair of a symmetric positive dissimilarity matrix.
 
     Returns the largest metric below the raw matrix (all-pairs minimum
-    path sums, Floyd-Warshall).  The raw matrix must be symmetric with a
-    zero diagonal and strictly positive off-diagonal entries.
+    path sums, Floyd-Warshall).  The raw matrix must pass the entry-level
+    checks of :func:`diagnose`; a zero off-diagonal entry anywhere raises
+    ZeroOffDiagonal (it would merge points) ahead of a negative one.
     """
-    m = np.array(raw, dtype=float, copy=True)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    n = m.shape[0]
-    if n != len(tuple(labels)):
-        raise ValueError("matrix side must equal the number of labels")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
-    diag = np.diagonal(m)
-    if (diag != 0).any():
-        i = int(np.nonzero(diag != 0)[0][0])
-        raise NonzeroDiagonal(f"diagonal entry ({i},{i}) != 0", (i, i))
-    asym = m != m.T
-    if asym.any():
-        i, j = (int(v) for v in np.argwhere(asym)[0])
-        raise AsymmetricMatrix(f"entry ({i},{j}) != ({j},{i})", (i, j))
-    offdiag = ~np.eye(n, dtype=bool)
-    zero = offdiag & (m == 0)
-    if zero.any():
-        i, j = (int(v) for v in np.argwhere(zero)[0])
-        raise ZeroOffDiagonal(
-            f"off-diagonal entry ({i},{j}) is zero (would merge points)"
-        )
-    neg = offdiag & (m < 0)
-    if neg.any():
-        i, j = (int(v) for v in np.argwhere(neg)[0])
-        raise NonpositiveOffDiagonal(f"off-diagonal entry ({i},{j}) < 0", (i, j))
-
-    for k in range(n):
+    m = np.array(raw, dtype=float)
+    violation = _entry_violation(labels, m)
+    if violation is not None and violation.axiom == "positivity":
+        zero = np.argwhere(~np.eye(len(m), dtype=bool) & (m == 0))
+        if zero.size:
+            i, j = (int(v) for v in zero[0])
+            raise ZeroOffDiagonal(
+                f"off-diagonal entry ({i},{j}) = {float(m[i, j])!r} would merge points"
+            )
+    if violation is not None:
+        raise violation.to_error()
+    for k in range(len(m)):
         np.minimum(m, m[:, k : k + 1] + m[k : k + 1, :], out=m)
     return validate(labels, m, flavor=METRIC)
 
@@ -425,7 +416,7 @@ def space_to_json(space: FiniteMetricSpace) -> dict:
 def space_from_json(obj: dict, tol: float = DEFAULT_TOL) -> FiniteMetricSpace:
     """Parse and re-validate a space from its JSON object form."""
     try:
-        labels = obj["labels"]
+        labels = tuple(obj["labels"])
         matrix = obj["matrix"]
         flavor = obj.get("flavor", METRIC)
     except (KeyError, TypeError) as exc:

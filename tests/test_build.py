@@ -499,22 +499,6 @@ def test_approximate_ud_rangeset_path():
             assert v == 0.0 or contains(S, float(v))
 
 
-def test_approximate_ud_custom_piece_builder():
-    calls = []
-
-    def uniform_piece(labels, eps):
-        calls.append(labels)
-        n = len(labels)
-        matrix = np.full((n, n), eps) - np.eye(n) * eps
-        return validate(labels, matrix)
-
-    host = _line_space([0.0, 0.05, 0.1, 3.0, 3.05])
-    eps = 0.5
-    out, _ = approximate_ud(host, eps, piece_builder=uniform_piece)
-    assert calls  # the hook ran
-    assert out.matrix[0, 1] == eps  # uniform piece distances survived
-
-
 def test_approximate_up_even_pieces_meet_the_bound():
     host = _line_space([0.0, 0.01, 0.02, 0.03, 5.0, 5.01, 5.02, 5.03])
     eps = 1.0

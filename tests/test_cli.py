@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from metriclab import (
     Embedding,
@@ -403,6 +404,33 @@ def test_missing_keys_is_a_clean_error(tmp_path, capsys):
     path = _write(tmp_path, "empty.json", {})
     assert main(["validate", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [[[0.0, 1.0], [1.0, 0.0]], {"labels": 5, "matrix": [[0.0]]}],
+    ids=["top_level_list", "scalar_labels"],
+)
+def test_validate_of_a_malformed_space_is_a_clean_error(tmp_path, capsys, obj):
+    path = _write(tmp_path, "space.json", obj)
+    assert main(["validate", path]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed space object:")
+
+
+@pytest.mark.parametrize("thresholds", [[1, 2], {"beta0": [1]}], ids=["list", "nested"])
+def test_malformed_thresholds_are_a_clean_error(tmp_path, capsys, thresholds):
+    space = _write(tmp_path, "space.json", _line_space_json([0.0, 1.0, 3.0], "abc"))
+    path = _write(tmp_path, "thresholds.json", thresholds)
+    assert main(["moduli", space, "--thresholds", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed thresholds object:")
+
+
+def test_malformed_experiment_thresholds_are_a_clean_error(tmp_path, capsys):
+    config = _write(tmp_path, "cfg.json", {"experiment": "dense_ud", "thresholds": [1]})
+    assert main(["experiment", config]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed thresholds object:")
 
 
 # ---------------------------------------------------------------------------

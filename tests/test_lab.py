@@ -1,6 +1,7 @@
 """Experiment configs, random instances, trial records, and reports."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -238,6 +239,48 @@ def test_every_dense_experiment_passes_on_small_hosts():
         for row in report["rows"]:
             assert len(row["digest"]) == 16
             assert row["error"] is None
+
+
+# sha256 of render_report's JSON and CSV bytes per dense experiment at
+# n = 16, seed 9, 2 trials, recorded before the five experiments were
+# driven from one table.
+DENSE_REPORT_DIGESTS = {
+    "dense_doubling": (
+        "b50daed87bb64fccdef9b3ad12d6995a9d7849dd82f5c2540c6a0593fadc7d71",
+        "4021a9eb03bbc43dc690f9469d0b35d5df034527211351a94deea608f18c6ef8",
+    ),
+    "dense_ud": (
+        "7a61157eba29afc104f0b31633c58c1f2dbd4237b699dd239adca3a64f591081",
+        "0b8853555b65d99decff691548c704bbbbb99667a91044d5e4402d0dbfc53cdd",
+    ),
+    "dense_up": (
+        "be47ceda95977d53b158f56ac41b3324cfa45bc603d2618c6d86455966e68a26",
+        "bc8d2f68093eef8d370797727e4db7227ebcec5078b6d2abac56bd6f513edc50",
+    ),
+    "dense_ult_doubling": (
+        "a9cd64ae1a10a860e4dc03084ee48b7595c1f200d699e349d72508f9c7117133",
+        "1bfd07305dbd7f9ff7e3ced480ff9298abc7ca14ae5756e226092edd44e5b1a4",
+    ),
+    "dense_ult_up": (
+        "7b994c56e54d9c7ece16033aae55546e43e9dcf147c2f0cd6d5cd285be521766",
+        "b5f4c7d34973cfd232e30f7ae298afd887911cfa967e2a7487ebd36e90971de9",
+    ),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(DENSE_REPORT_DIGESTS))
+def test_dense_reports_keep_their_bytes(experiment):
+    """The dense reports stay byte-identical under refactors.
+
+    ROADMAP item 1 (a positive floor for approximate_up) changes the
+    dense_up digests on purpose; update them in that change only.
+    """
+    report = run_experiment(ExperimentConfig(experiment, n=16, trials=2, seed=9))
+    digests = tuple(
+        hashlib.sha256(render_report(report, fmt).encode()).hexdigest()
+        for fmt in ("json", "csv")
+    )
+    assert digests == DENSE_REPORT_DIGESTS[experiment]
 
 
 def test_perturb_uniform_small_run():

@@ -31,6 +31,7 @@ from metriclab.moduli import (
     doubling_report_to_json,
     type_vector_to_json,
     ud_report_to_json,
+    up_report,
     up_report_to_json,
 )
 from metriclab.rangesets import ShrinkingSequence
@@ -333,6 +334,18 @@ def test_classify_geometric_ladder_hits_all_ones():
     assert tv.bits == (1, 1, 1)
     assert tv.reports["up"].c_star == 0.5
     assert tv.reports["ud"].delta_star == 1.0
+
+
+def test_up_report_is_degenerate_on_an_empty_scale_window():
+    space = random_space("points_linf", 16, trial_rng(41, 0))
+    for r_min in (space.diameter, 2 * space.diameter):
+        report = up_report(space, r_min)
+        assert report.degenerate
+        assert report.c_star == 0.0
+        assert report.r_min == r_min
+    for r_min in (space.separation, space.diameter / 2, np.nextafter(space.diameter, 0)):
+        assert up_report(space, r_min) == up_constant(space, r_min)
+        assert not up_report(space, r_min).degenerate
 
 
 def test_classify_uniform_space_is_degenerate_in_the_scale_window():

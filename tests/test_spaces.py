@@ -486,6 +486,17 @@ def test_closure_input_guards():
         metric_closure(_labels(2), np.array([[0.0, np.nan], [np.nan, 0.0]]))
 
 
+def test_closure_names_a_zero_entry_before_an_earlier_negative_one():
+    raw = np.array([[0.0, -1.0, 2.0], [-1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    with pytest.raises(ZeroOffDiagonal, match=r"\(1,2\) = 0.0"):
+        metric_closure(_labels(3), raw)
+    raw[1, 2] = raw[2, 1] = 3.0
+    with pytest.raises(NonpositiveOffDiagonal, match=r"\(0,1\) = -1.0 <= 0") as info:
+        metric_closure(_labels(3), raw)
+    assert info.value.indices == (0, 1)
+    assert metric_closure(_labels(2), [[0.0, 1.0], [1.0, 0.0]]).matrix[0, 1] == 1.0
+
+
 # ---------------------------------------------------------------------------
 # subset statistics and JSON forms
 
