@@ -145,12 +145,16 @@ _BLOCK_ELEMENTS = 1 << 20
 def pairwise_linf(coords: np.ndarray) -> np.ndarray:
     """Max-norm distance matrix of row vectors (row blocks keep memory flat)."""
     coords = np.asarray(coords, dtype=float)
-    n = coords.shape[0]
-    out = np.empty((n, n))
-    step = _rows_per_block(n * coords.shape[1], _BLOCK_ELEMENTS)
-    for start in range(0, n, step):
+    return _linf_block(coords, coords)
+
+
+def _linf_block(rows: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Max-norm distances from each of `rows` to each of `coords`."""
+    out = np.empty((rows.shape[0], coords.shape[0]))
+    step = _rows_per_block(coords.size, _BLOCK_ELEMENTS)
+    for start in range(0, rows.shape[0], step):
         block = slice(start, start + step)
-        diff = coords[block, None, :] - coords[None, :, :]
+        diff = rows[block, None, :] - coords[None, :, :]
         out[block] = np.abs(diff, out=diff).max(axis=2)
     return out
 
@@ -251,20 +255,27 @@ def mcshane_extend(
     """Extend an l-Lipschitz map on a subset to the whole space.
 
     F(x) = min over a in subset of (values[a] + lip * d(x, a)), applied
-    per component for vector values; the restriction to the subset is
-    then overwritten with the inputs so it holds bit-exactly.  The
-    Lipschitz hypothesis is verified on the subset first (max-norm
-    componentwise for vectors).  Both steps run in row blocks, so beyond
-    the (k, k) and (n, components) arrays memory holds one block.
+    per component for vector values, at every x outside the subset; on
+    the subset F is the input, bit-exactly.  The Lipschitz hypothesis is
+    verified on the subset first (max-norm componentwise for vectors).
+    Both steps run in row blocks, so beyond the (k, k) and
+    (n, components) arrays memory holds one block.
     """
+    extended, _, _ = _mcshane_extend(space, subset, values, lip, tol)
+    return extended[:, 0] if np.ndim(values) == 1 else extended
+
+
+def _mcshane_extend(space, subset, values, lip, tol):
+    """:func:`mcshane_extend` as (n, components) array, with the sorted
+    subset and the (k, k) max-norm matrix of its values (the Lipschitz
+    check's left side), so a caller can reuse that block."""
     subset = [int(i) for i in subset]
     if not subset:
         raise ValueError("subset must be nonempty")
     if len(set(subset)) != len(subset):
         raise ValueError("subset indices must be distinct")
     f = np.array(values, dtype=float)
-    scalar = f.ndim == 1
-    if scalar:
+    if f.ndim == 1:
         f = f[:, None]
     if f.shape[0] != len(subset):
         raise ValueError(f"{f.shape[0]} values for {len(subset)} subset points")
@@ -287,13 +298,14 @@ def mcshane_extend(
         )
 
     extended = np.empty((space.n, f.shape[1]))
-    step = _rows_per_block(f.size, _BLOCK_ELEMENTS)
-    for start in range(0, space.n, step):
-        block = slice(start, start + step)
-        steps = lip * space.matrix[block][:, subset]
-        extended[block] = (f[None, :, :] + steps[:, :, None]).min(axis=1)
     extended[subset] = f
-    return extended[:, 0] if scalar else extended
+    rest = np.setdiff1d(np.arange(space.n), subset)
+    step = _rows_per_block(f.size, _BLOCK_ELEMENTS)
+    for start in range(0, rest.size, step):
+        rows = rest[start : start + step]
+        steps = lip * space.matrix[rows][:, subset]
+        extended[rows] = (f[None, :, :] + steps[:, :, None]).min(axis=1)
+    return extended, subset, spread
 
 
 def kuratowski_embed(space: FiniteMetricSpace, landmarks) -> Embedding:
@@ -407,11 +419,19 @@ def approximate_doubling(
     if not eps > 0:
         raise ValueError("eps must be positive")
     net = greedy_net(d, eps)
-    net_rows = d.matrix[np.ix_(net, net)]
-    lipschitz = mcshane_extend(d, net, net_rows, lip=1.0)
-    aux = (np.arange(d.n, dtype=float) * (eps / (2 * d.n)))[:, None]
-    embedding = Embedding(np.hstack([lipschitz, aux]))
-    matrix = embedding.pairwise_linf()
+    lipschitz, net, spread = _mcshane_extend(
+        d, net, d.matrix[np.ix_(net, net)], 1.0, DEFAULT_TOL
+    )
+    aux = np.arange(d.n, dtype=float) * (eps / (2 * d.n))
+    embedding = Embedding(np.hstack([lipschitz, aux[:, None]]))
+    # The max-norm matrix of the coordinates, with its net x net block
+    # taken from the Lipschitz check: there the extended coordinates are
+    # the net rows themselves, so that block is spread v |aux difference|.
+    rest = np.setdiff1d(np.arange(d.n), net)
+    matrix = np.empty((d.n, d.n))
+    matrix[rest] = _linf_block(embedding.coordinates[rest], embedding.coordinates)
+    matrix[np.ix_(net, rest)] = matrix[np.ix_(rest, net)].T
+    matrix[np.ix_(net, net)] = np.maximum(spread, np.abs(aux[net, None] - aux[None, net]))
     return validate(d.labels, matrix, flavor=METRIC), embedding
 
 

@@ -138,14 +138,47 @@ def _exhaustive_doubling(matrix: np.ndarray, beta: float) -> tuple[float, tuple[
     return best, witness
 
 
-def _ball_prefix_candidates(matrix: np.ndarray, beta: float, floor):
+def _extreme_pairs(matrix: np.ndarray):
+    """The n smallest and the n largest pairs i < j of a metric matrix.
+
+    Returns (small, large), each a triple (a, b, values) of arrays over
+    min(n, n*(n-1)/2) pairs: small sorted by ascending distance, large by
+    descending distance.  Every pair outside small is >= every value in
+    it, and every pair outside large is <= every value in it.
+
+    Hence, for a point set A holding at least one pair of small, sep(A)
+    is the value of the first pair of small that A holds: A holds no
+    earlier one, the later ones are no smaller, the pairs outside the
+    list are no smaller either, and that pair is itself in A.  In the
+    same way diam(A) is the value of the first pair of large that A
+    holds.  These are matrix entries read as they are, so a ratio built
+    from them is bit-identical to one built from an O(card(A)^2) gather.
+    """
+    n = matrix.shape[0]
+    rows, cols = np.triu_indices(n, k=1)
+    values = matrix[rows, cols]
+    count = min(n, values.size)
+    small = np.argpartition(values, count - 1)[:count]
+    small = small[np.argsort(values[small], kind="stable")]
+    large = np.argpartition(values, values.size - count)[values.size - count :]
+    large = large[np.argsort(values[large], kind="stable")[::-1]]
+    return tuple((rows[t], cols[t], values[t]) for t in (small, large))
+
+
+def _first_held(pairs, inside: np.ndarray) -> float | None:
+    """Value of the first listed pair with both ends inside, or None."""
+    a, b, values = pairs
+    held = inside[a] & inside[b]
+    t = int(np.argmax(held))
+    return float(values[t]) if held[t] else None
+
+
+def _ball_prefix_candidates(matrix: np.ndarray, beta: float, floor, extremes):
     """Deterministic candidates: prefixes of every sorted distance row.
 
     For each center c, the points o_0, o_1, ... in stable distance order
-    from c yield nested "balls" P_r = {o_0, ..., o_r}; diameter and
-    separation are running max / min over the rows of the reordered
-    matrix.  Yields (ratio, witness tuple) of the best prefix (the first
-    argmax) per center.
+    from c yield nested "balls" P_r = {o_0, ..., o_r}.  Yields (ratio,
+    witness tuple) of the best prefix (the first argmax) per center.
 
     `floor()` is read once per center, just before it is scored, and
     centers that cannot reach it are dropped.  P_r contains the pairs
@@ -155,15 +188,29 @@ def _ball_prefix_candidates(matrix: np.ndarray, beta: float, floor):
     center from a single column.  Division is correctly rounded and
     monotone and ``**`` is off by a few ulps, so a ratio never exceeds
     its bound by the _BOUND_MARGIN factor.  A center with no bound_r
-    reaching the floor is skipped; otherwise only the leading block up to
-    the last live prefix is gathered and reduced, which leaves the first
-    argmax unchanged whenever it reaches the floor.  With any floor <=
-    the caller's running best, everything dropped scores strictly below
+    reaching the floor is skipped; otherwise only the prefixes up to
+    the last live one are scored, which leaves the first argmax
+    unchanged whenever it reaches the floor.  With any floor <= the
+    caller's running best, everything dropped scores strictly below
     that best, so a search that ignores such candidates stays exact.
+
+    Separation and diameter come from `extremes` (see
+    :func:`_extreme_pairs`).  With rank(x) the position of x in the
+    order, P_r holds the listed pair (a, b) iff max(rank(a), rank(b))
+    <= r, so the running minimum `enter` of that position along a list
+    is non-increasing and the first pair P_r holds is the first t with
+    enter[t] <= r, found by ``searchsorted``.  This gives sep and
+    diam exactly for every r >= r0, the first prefix holding a pair of
+    each list.  Only the r0 points before it are gathered, and their
+    prefixes are reduced as running max / min over the rows of the
+    reordered block.
     """
     n = matrix.shape[0]
     tril = np.tril(np.ones((n, n), dtype=bool), k=-1)
     cards = np.arange(2, n + 1, dtype=float)
+    positions = np.arange(n)
+    rank = np.empty(n, dtype=np.intp)
+    (_, _, small), (_, _, large) = extremes
     for center in range(n):
         order = np.argsort(matrix[center], kind="stable")
         arm = matrix[order[1:], order[0]]
@@ -172,16 +219,26 @@ def _ball_prefix_candidates(matrix: np.ndarray, beta: float, floor):
         if not live.size:
             continue
         size = int(live[-1]) + 2
-        head = order[:size]
-        sub = matrix[head][:, head]
-        rowmax = sub.max(axis=1, where=tril[:size, :size], initial=-np.inf)
-        rowmin = sub.min(axis=1, where=tril[:size, :size], initial=np.inf)
-        diam = np.maximum.accumulate(rowmax)[1:]
-        sep = np.minimum.accumulate(rowmin)[1:]
+        rank[order] = positions
+        small_enter, large_enter = (
+            np.minimum.accumulate(np.maximum(rank[a], rank[b])) for a, b, _ in extremes
+        )
+        r0 = max(int(small_enter[-1]), int(large_enter[-1]))
+        head = order[: min(size, r0)]
+        sub = matrix[np.ix_(head, head)]
+        below = tril[: head.size, : head.size]
+        rowmax = sub.max(axis=1, where=below, initial=-np.inf)
+        rowmin = sub.min(axis=1, where=below, initial=np.inf)
+        later = -np.arange(r0, size)
+        sep = np.concatenate(
+            [np.minimum.accumulate(rowmin)[1:], small[np.searchsorted(-small_enter, later)]]
+        )
+        diam = np.concatenate(
+            [np.maximum.accumulate(rowmax)[1:], large[np.searchsorted(-large_enter, later)]]
+        )
         ratios = cards[: size - 1] * (sep / diam) ** beta
         k = int(np.argmax(ratios))
-        witness = tuple(sorted(int(i) for i in order[: k + 2]))
-        yield float(ratios[k]), witness
+        yield float(ratios[k]), tuple(np.sort(order[: k + 2]).tolist())
 
 
 def doubling_constant(
@@ -202,13 +259,19 @@ def doubling_constant(
     best, without changing its result.  A random subset A keeps its RNG
     draws, then one arm d(a_0, a) over its other points a is read:
     sep(A) <= min arm and diam(A) >= max arm, so
-    card * (min arm / max arm)**beta bounds its ratio, and the O(k^2)
-    gather runs only when that bound, times _BOUND_MARGIN (which covers
-    the rounding error of ``**``), reaches the best.  Ball prefixes
-    are pruned the same way against the running best (see
+    card * (min arm / max arm)**beta bounds its ratio, and A is scored
+    only when that bound, times _BOUND_MARGIN (which covers the rounding
+    error of ``**``), reaches the best.  Ball prefixes are pruned the
+    same way against the running best (see
     :func:`_ball_prefix_candidates`).  Ties are still scored, so the
     constant, the witness (least tied subset) and the mode are those of
     the unpruned search.
+
+    Candidates are scored from the n smallest and n largest pairs,
+    built once (:func:`_extreme_pairs`): the full set, every ball prefix
+    from r0 on, and every random subset holding a pair of each list read
+    their separation and diameter there, exactly, in O(n) per candidate.
+    Only a random subset missing one list gathers its O(k^2) block.
     """
     if space.n < 2:
         raise DegenerateSpace("doubling constant needs at least 2 points")
@@ -233,21 +296,28 @@ def doubling_constant(
 
     # Every pair has diam = sep, hence ratio exactly 2.
     consider(2.0, (0, 1))
-    off = ~np.eye(n, dtype=bool)
-    consider(_subset_ratio(beta, n, float(m.max()), float(m[off].min())), tuple(range(n)))
-    for ratio, subset in _ball_prefix_candidates(m, beta, lambda: best):
+    extremes = _extreme_pairs(m)
+    (_, _, small), (_, _, large) = extremes
+    consider(_subset_ratio(beta, n, float(large[0]), float(small[0])), tuple(range(n)))
+    for ratio, subset in _ball_prefix_candidates(m, beta, lambda: best, extremes):
         consider(ratio, subset)
+    inside = np.zeros(n, dtype=bool)
     for _ in range(budget):
         k = int(generator.integers(2, n + 1))
         chosen = generator.choice(n, size=k, replace=False)
         arm = m[chosen[0], chosen[1:]]
         if _subset_ratio(beta, k, float(arm.max()), float(arm.min())) * _BOUND_MARGIN < best:
             continue
+        inside[chosen] = True
+        sep, diam = (_first_held(pairs, inside) for pairs in extremes)
+        inside[chosen] = False
         idx = np.sort(chosen)
-        sub = m[idx][:, idx]
-        diam = float(sub.max())
-        np.fill_diagonal(sub, np.inf)
-        ratio = _subset_ratio(beta, k, diam, float(sub.min()))
+        if sep is None or diam is None:
+            sub = m[idx][:, idx]
+            diam = float(sub.max())
+            np.fill_diagonal(sub, np.inf)
+            sep = float(sub.min())
+        ratio = _subset_ratio(beta, k, diam, sep)
         if ratio >= best:  # consider() ignores anything smaller
             consider(ratio, tuple(idx.tolist()))
 

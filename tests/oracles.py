@@ -127,6 +127,21 @@ def closure_by_paths(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+def closure_by_loops(matrix: np.ndarray) -> np.ndarray:
+    """Floyd-Warshall as the k-outer recurrence, one entry at a time:
+    d(i, j) <- min(d(i, j), d(i, k) + d(k, j)) for k = 0, 1, ..., n-1."""
+    m = [[float(v) for v in row] for row in matrix]
+    n = len(m)
+    for k in range(n):
+        row_k = m[k]
+        for i in range(n):
+            row_i, via = m[i], m[i][k]
+            for j in range(n):
+                if via + row_k[j] < row_i[j]:
+                    row_i[j] = via + row_k[j]
+    return np.array(m)
+
+
 # ---------------------------------------------------------------------------
 # moduli
 
@@ -307,6 +322,35 @@ def linf_by_loops(coords: np.ndarray) -> np.ndarray:
                 abs(float(a) - float(b)) for a, b in zip(coords[i], coords[j])
             )
     return out
+
+
+def doubling_embedding_by_two_passes(matrix: np.ndarray, eps: float):
+    """(output matrix, coordinates) of the doubling pipeline, in two full
+    passes.
+
+    The net is farthest-point from index 0 (lowest index on ties) until
+    every point lies within eps of it.  Every point's coordinates are
+    F(x) = min over net points a of d(a, .) + d(x, a), with the net's
+    columns in net order; the net rows are then overwritten by their own
+    distance rows.  An aux axis holds i * eps / (2n).  The output is the
+    max-norm matrix of all coordinates, over every pair.
+    """
+    n = matrix.shape[0]
+    net = [0]
+    while True:
+        dist = matrix[net].min(axis=0)
+        far = int(np.argmax(dist))
+        if dist[far] < eps:
+            break
+        net.append(far)
+    rows = matrix[np.ix_(net, net)]
+    by_index = np.argsort(net)
+    members, values = np.asarray(net)[by_index], rows[by_index]
+    extended = (values[None, :, :] + matrix[:, members][:, :, None]).min(axis=1)
+    extended[members] = values
+    aux = np.arange(n) * (eps / (2 * n))
+    coords = np.hstack([extended, aux[:, None]])
+    return np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2), coords
 
 
 def valuation_by_scan(x: str, y: str) -> float:

@@ -468,6 +468,23 @@ def test_approximate_doubling_certificate():
         approximate_doubling(host, 0.0)
 
 
+def test_approximate_doubling_matches_the_two_pass_oracle():
+    # the net x net block comes from the Lipschitz check and only the rows
+    # outside the net are extended: the bytes equal extending every row
+    # and taking the max-norm matrix of all coordinates
+    rng = trial_rng(69, 0)
+    for mode in ("closure", "points_linf"):
+        for n in (17, 40):
+            host = random_space(mode, n, rng)
+            every, one = host.separation / 2, 2 * host.diameter
+            assert (len(greedy_net(host, every)), len(greedy_net(host, one))) == (n, 1)
+            for eps in (every, host.diameter / 8, host.diameter / 3, one):
+                out, emb = approximate_doubling(host, eps)
+                matrix, coords = orc.doubling_embedding_by_two_passes(host.matrix, eps)
+                assert out.matrix.tobytes() == matrix.tobytes()
+                assert emb.coordinates.tobytes() == coords.tobytes()
+
+
 def test_approximate_ud_metric_path():
     rng = trial_rng(64, 0)
     for _ in range(5):

@@ -1,5 +1,7 @@
 """The three moduli (doubling, disconnectedness, perfectness) and classify."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,6 +220,92 @@ def test_doubling_sampled_matches_the_unpruned_search(kind, n, beta, budget, see
     assert (report.constant, report.witness, report.mode) == (*expected, "sampled")
 
 
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=200, max_value=256),
+    st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=2**16),
+)
+def test_doubling_sampled_matches_the_unpruned_search_on_large_closure_hosts(
+    n, beta, budget, seed
+):
+    # here every center is live: each gathers its prefixes before r0 and
+    # reads the later ones from the extreme-pair lists
+    space = random_space("closure", n, trial_rng(seed, 0))
+    report = doubling_constant(space, beta, budget=budget, rng=seed)
+    expected = orc.doubling_sampled_by_full_scan(space.matrix, beta, budget, seed)
+    assert (report.constant, report.witness, report.mode) == (*expected, "sampled")
+
+
+def _count_fill_diagonal(monkeypatch) -> list:
+    fill_diagonal = np.fill_diagonal
+    calls = []
+
+    def spy(a, val, wrap=False):
+        calls.append(a.shape[0])
+        fill_diagonal(a, val, wrap)
+
+    monkeypatch.setattr(moduli.np, "fill_diagonal", spy)
+    return calls
+
+
+def test_doubling_fallback_gather_scores_subsets_outside_both_lists(monkeypatch):
+    # the pinned points_linf witness (11, 24, 38) holds no pair of either
+    # extreme-pair list, so only the fallback gather can have scored it
+    space = random_space("points_linf", 40, trial_rng(38, 0))
+    calls = _count_fill_diagonal(monkeypatch)
+    report = doubling_constant(space, 1.0, rng=5)
+    assert report.witness == (11, 24, 38)
+    inside = np.isin(np.arange(space.n), report.witness)
+    for pairs in moduli._extreme_pairs(space.matrix):
+        assert moduli._first_held(pairs, inside) is None
+    assert calls
+    expected = orc.doubling_sampled_by_full_scan(space.matrix, 1.0, 2000, 5)
+    assert (report.constant, report.witness) == expected
+
+
+def test_doubling_sampled_search_when_the_lists_hold_every_pair(monkeypatch):
+    # with n <= 3 the n-pair lists hold all n(n-1)/2 pairs, so every
+    # candidate reads both statistics from them and no sample falls back
+    # to the O(k^2) gather
+    monkeypatch.setattr(moduli, "EXHAUSTIVE_LIMIT", 1)
+    calls = _count_fill_diagonal(monkeypatch)
+    rng = trial_rng(42, 0)
+    for n in (2, 3):
+        for mode in ("closure", "points_linf"):
+            space = random_space(mode, n, rng)
+            for _, _, values in moduli._extreme_pairs(space.matrix):
+                assert values.size == n * (n - 1) // 2
+            for beta in (0.5, 2.0):
+                report = doubling_constant(space, beta, budget=30, rng=n)
+                expected = orc.doubling_sampled_by_full_scan(space.matrix, beta, 30, n)
+                assert (report.constant, report.witness, report.mode) == (*expected, "sampled")
+    assert calls == []
+
+
+def test_ball_prefixes_gather_far_fewer_than_n_cubed_entries():
+    # every center of a closure host is live, so a gather of each whole
+    # live block reads about n**3 entries; gathering only the prefixes
+    # before r0 reads a small share of that
+    class CountingMatrix(np.ndarray):
+        reads = []
+
+        def __getitem__(self, key):
+            out = super().__getitem__(key)
+            if isinstance(out, np.ndarray):
+                self.reads.append(out.size)
+                out = out.view(np.ndarray)
+            return out
+
+    n = 256
+    space = random_space("closure", n, trial_rng(43, 0))
+    counted = SimpleNamespace(n=n, matrix=space.matrix.view(CountingMatrix))
+    report = doubling_constant(counted, 2.0, budget=0)
+    assert report == doubling_constant(space, 2.0, budget=0)
+    assert sum(CountingMatrix.reads) < n**3 / 16
+
+
 def test_doubling_sampled_scores_subsets_that_tie_the_best():
     # eight pairs at 0.25, everything else at 1: only the 2**8 one-per-pair
     # transversals reach 8, and the ball prefixes (each holding a pair)
@@ -235,17 +323,11 @@ def test_doubling_sampled_scores_subsets_that_tie_the_best():
 
 
 def test_doubling_bounds_skip_most_random_subsets(monkeypatch):
-    # only a sample whose arm bound reaches the best gets the O(k^2)
-    # gather, which alone calls fill_diagonal
+    # only a sample whose arm bound reaches the best is scored, and only
+    # the fallback gather of a scored sample missing one of the extreme
+    # pair lists calls fill_diagonal
     space = random_space("points_linf", 200, trial_rng(41, 0))
-    fill_diagonal = np.fill_diagonal
-    calls = []
-
-    def spy(a, val, wrap=False):
-        calls.append(a.shape[0])
-        fill_diagonal(a, val, wrap)
-
-    monkeypatch.setattr(moduli.np, "fill_diagonal", spy)
+    calls = _count_fill_diagonal(monkeypatch)
     report = doubling_constant(space, 2.0, budget=2000, rng=0)
     assert report.mode == "sampled"
     assert len(calls) < 200

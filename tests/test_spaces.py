@@ -473,6 +473,22 @@ def test_closure_matches_all_paths_oracle():
         assert (repaired.matrix <= raw + 1e-12 * scale).all()
 
 
+def test_closure_is_the_k_outer_recurrence_bit_for_bit():
+    # pins the in-place k-outer loop: a C shortest-path routine need not
+    # agree (scipy's dense floyd_warshall reads 1e-300 entries as missing
+    # edges and returns inf)
+    rng = trial_rng(70, 0)
+    for n in (2, 5, 12, 24):
+        spread = _symmetric_raw(rng, n, lo=0.1, hi=10.0)
+        tied = rng.integers(1, 4, (n, n)).astype(float)
+        tied = tied + tied.T
+        np.fill_diagonal(tied, 0.0)
+        for raw in (spread, tied):
+            for scale in (1.0, 1e300, 1e-300):
+                repaired = metric_closure(_labels(n), raw * scale)
+                assert repaired.matrix.tobytes() == orc.closure_by_loops(raw * scale).tobytes()
+
+
 def test_closure_input_guards():
     with pytest.raises(NonzeroDiagonal):
         metric_closure(_labels(2), np.array([[0.1, 1.0], [1.0, 0.0]]))
