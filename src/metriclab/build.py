@@ -17,12 +17,11 @@ the range-set-valued ultrametric distance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cantor import _rung_matrix, cantor_prefix_metric, geometric_prefix_ultrametric
+from .cantor import _ladder_space, _string_depth, cantor_prefix_metric, geometric_prefix_ultrametric
 from .errors import (
     NotLipschitzOnSubset,
     NotUltrametric,
@@ -203,7 +202,6 @@ def amalgamate_metric(
     d: FiniteMetricSpace,
     partition: ClopenPartition,
     pieces_metrics,
-    tol: float = DEFAULT_TOL,
 ) -> FiniteMetricSpace:
     """Sum-form amalgam: intra-piece by the piece metric, across pieces
     e_i(x, p_i) + d(p_i, p_j) + e_j(p_j, y).  Intra-piece blocks are
@@ -213,7 +211,7 @@ def amalgamate_metric(
     # grouping (with the exactly-symmetric bridge m) keeps the output
     # exactly symmetric.
     matrix = _assemble(d, partition, pieces_metrics, lambda a, m, b: (a + b) + m)
-    return validate(d.labels, matrix, flavor=METRIC, tol=tol)
+    return validate(d.labels, matrix, flavor=METRIC)
 
 
 def amalgamate_ultrametric(
@@ -221,7 +219,6 @@ def amalgamate_ultrametric(
     partition: ClopenPartition,
     pieces_metrics,
     S: RangeSet,
-    tol: float = DEFAULT_TOL,
 ) -> FiniteMetricSpace:
     """Max-form amalgam over a range set S.
 
@@ -234,7 +231,7 @@ def amalgamate_ultrametric(
         if metric.flavor != ULTRAMETRIC:
             raise NotUltrametric(f"piece {k} is not ultrametric-flavored")
     _check_pieces(d, partition, pieces_metrics)
-    slack = tol * max(1.0, float(d.matrix.max()))
+    slack = DEFAULT_TOL * max(1.0, float(d.matrix.max()))
     for matrix in [d.matrix] + [m.matrix for m in pieces_metrics]:
         for v in np.unique(matrix):
             if v > 0 and not contains(S, float(v), tol=slack):
@@ -242,7 +239,7 @@ def amalgamate_ultrametric(
     matrix = _assemble(
         d, partition, pieces_metrics, lambda a, m, b: np.maximum(np.maximum(a, m), b)
     )
-    return validate(d.labels, matrix, flavor=ULTRAMETRIC, tol=tol)
+    return validate(d.labels, matrix, flavor=ULTRAMETRIC)
 
 
 def mcshane_extend(
@@ -250,7 +247,6 @@ def mcshane_extend(
     subset,
     values,
     lip: float,
-    tol: float = DEFAULT_TOL,
 ):
     """Extend an l-Lipschitz map on a subset to the whole space.
 
@@ -261,11 +257,11 @@ def mcshane_extend(
     Both steps run in row blocks, so beyond the (k, k) and
     (n, components) arrays memory holds one block.
     """
-    extended, _, _ = _mcshane_extend(space, subset, values, lip, tol)
+    extended, _, _ = _mcshane_extend(space, subset, values, lip)
     return extended[:, 0] if np.ndim(values) == 1 else extended
 
 
-def _mcshane_extend(space, subset, values, lip, tol):
+def _mcshane_extend(space, subset, values, lip):
     """:func:`mcshane_extend` as (n, components) array, with the sorted
     subset and the (k, k) max-norm matrix of its values (the Lipschitz
     check's left side), so a caller can reuse that block."""
@@ -288,7 +284,7 @@ def _mcshane_extend(space, subset, values, lip, tol):
 
     sub_d = space.matrix[np.ix_(subset, subset)]
     spread = pairwise_linf(f)
-    slack = tol * max(1.0, float(np.abs(f).max()), lip * float(sub_d.max()))
+    slack = DEFAULT_TOL * max(1.0, float(np.abs(f).max()), lip * float(sub_d.max()))
     bad = spread > lip * sub_d + slack
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -321,7 +317,6 @@ def extend_metric(
     ambient: FiniteMetricSpace,
     subset,
     inner: FiniteMetricSpace,
-    tol: float = DEFAULT_TOL,
 ) -> FiniteMetricSpace:
     """A metric on all points that restricts to `inner` on `subset`,
     built by amalgamating with the subset as one piece and every other
@@ -332,7 +327,7 @@ def extend_metric(
     basepoints = (subset[0],) + tuple(rest)
     partition = ClopenPartition(pieces, basepoints)
     piece_metrics = [inner] + [ambient.restrict([i]) for i in rest]
-    return amalgamate_metric(ambient, partition, piece_metrics, tol=tol)
+    return amalgamate_metric(ambient, partition, piece_metrics)
 
 
 def greedy_net(space: FiniteMetricSpace, eps: float) -> list[int]:
@@ -376,27 +371,27 @@ def merge_singletons(
     space: FiniteMetricSpace, partition: ClopenPartition
 ) -> ClopenPartition:
     """Fold each singleton piece into the piece of its nearest other
-    point (lowest index on ties), until every piece has >= 2 points."""
+    point (lowest index on ties), until every piece has >= 2 points.
+
+    Singletons fold in index order.  A fold only grows a piece, so the
+    lowest singleton left is always the next original singleton that no
+    earlier one chose as its home: one pass over them suffices.
+    """
     if space.n < 2:
         raise TooFewPoints("cannot merge singletons with fewer than 2 points")
-    pieces = [list(piece) for piece in partition.pieces]
-    basepoints = list(partition.basepoints)
-    while True:
-        lone = [k for k, piece in enumerate(pieces) if len(piece) == 1]
-        if not lone:
-            break
-        k = min(lone, key=lambda k: pieces[k][0])
-        x = pieces[k][0]
-        row = space.matrix[x].copy()
-        row[x] = np.inf
-        nearest = int(np.argmin(row))
-        home = next(j for j, piece in enumerate(pieces) if nearest in piece)
-        pieces[home] = sorted(pieces[home] + [x])
-        del pieces[k]
-        if home > k:
-            home -= 1
-        del basepoints[k]
-    return ClopenPartition(tuple(tuple(p) for p in pieces), tuple(basepoints))
+    owner = partition.piece_of()
+    sizes = np.bincount(owner)
+    for x in np.flatnonzero(sizes[owner] == 1).tolist():
+        if sizes[owner[x]] == 1:
+            row = space.matrix[x].copy()
+            row[x] = np.inf
+            home = owner[int(np.argmin(row))]
+            sizes[owner[x]] -= 1
+            sizes[home] += 1
+            owner[x] = home
+    kept = np.flatnonzero(sizes).tolist()
+    pieces = tuple(tuple(np.flatnonzero(owner == k).tolist()) for k in kept)
+    return ClopenPartition(pieces, tuple(partition.basepoints[k] for k in kept))
 
 
 def _relabel(space: FiniteMetricSpace, labels) -> FiniteMetricSpace:
@@ -416,12 +411,8 @@ def approximate_doubling(
     metric of the returned coordinates, which certifies the doubling
     property analytically.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
     net = greedy_net(d, eps)
-    lipschitz, net, spread = _mcshane_extend(
-        d, net, d.matrix[np.ix_(net, net)], 1.0, DEFAULT_TOL
-    )
+    lipschitz, net, spread = _mcshane_extend(d, net, d.matrix[np.ix_(net, net)], 1.0)
     aux = np.arange(d.n, dtype=float) * (eps / (2 * d.n))
     embedding = Embedding(np.hstack([lipschitz, aux[:, None]]))
     # The max-norm matrix of the coordinates, with its net x net block
@@ -446,7 +437,6 @@ def approximate_ud(
     d: FiniteMetricSpace,
     eps: float,
     S: RangeSet | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> tuple[FiniteMetricSpace, UDReport]:
     """Replace d by a uniformly disconnected metric within 4 * eps.
 
@@ -458,16 +448,14 @@ def approximate_ud(
     moving d by at most eps in the range-set ultrametric distance.  The
     measured disconnectedness modulus of the output ships with it.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
     partition = carve_pieces(d, eps)
     piece_labels = [tuple(d.labels[i] for i in piece) for piece in partition.pieces]
     if S is None:
         piece_spaces = [default_metric_piece(labels, eps) for labels in piece_labels]
-        out = amalgamate_metric(d, partition, piece_spaces, tol=tol)
+        out = amalgamate_metric(d, partition, piece_spaces)
     else:
         piece_spaces = [_s_valued_piece(labels, eps, S) for labels in piece_labels]
-        out = amalgamate_ultrametric(d, partition, piece_spaces, S, tol=tol)
+        out = amalgamate_ultrametric(d, partition, piece_spaces, S)
     return out, ud_modulus(out)
 
 
@@ -480,9 +468,7 @@ def _s_valued_piece(labels, eps: float, S: RangeSet) -> FiniteMetricSpace:
     top = greatest_leq(S, eps)
     if top == 0.0:
         raise ValueOutsideRangeSet(f"no positive element of S lies below {eps!r}")
-    depth = math.ceil(math.log2(count))
-    matrix = _rung_matrix(ladder(S, top, depth), count)
-    return validate(tuple(labels), matrix, flavor=ULTRAMETRIC)
+    return _ladder_space(ladder(S, top, _string_depth(count)), tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -501,7 +487,7 @@ class UPApproximation:
 
 
 def approximate_up(
-    d: FiniteMetricSpace, eps: float, tol: float = DEFAULT_TOL
+    d: FiniteMetricSpace, eps: float
 ) -> tuple[FiniteMetricSpace, UPApproximation]:
     """Replace d by a uniformly perfect metric.
 
@@ -520,12 +506,8 @@ def approximate_up(
     """
     if d.n < 2:
         raise TooFewPoints("approximate_up needs at least 2 points")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
     partition = merge_singletons(d, carve_pieces(d, eps))
-    depth = max(
-        max(1, math.ceil(math.log2(len(piece)))) for piece in partition.pieces
-    )
+    depth = _string_depth(max(len(piece) for piece in partition.pieces))
     piece_spaces = [
         _relabel(
             cantor_prefix_metric(len(piece), scale=eps, depth=depth),
@@ -537,7 +519,7 @@ def approximate_up(
         float(d.matrix[np.ix_(piece, piece)].max()) for piece in partition.pieces
     )
     eps_effective = max(eps, host_piece_diameter)
-    out = amalgamate_metric(d, partition, piece_spaces, tol=tol)
+    out = amalgamate_metric(d, partition, piece_spaces)
 
     r_min = min(piece.separation for piece in piece_spaces)
     piece_cs = [up_report(piece, r_min).c_star for piece in piece_spaces]

@@ -92,6 +92,30 @@ def _rung_matrix(rungs, count: int) -> np.ndarray:
     return table[_valuation_matrix(len(rungs))[:count, :count]]
 
 
+def _string_depth(count: int) -> int:
+    """The fewest string levels, at least one, that hold `count` strings."""
+    return max(1, math.ceil(math.log2(count)))
+
+
+def _prefix_labels(count: int, depth: int) -> tuple[str, ...]:
+    """The first `count` strings of `depth`, in numeric order."""
+    return BinaryPointSet(depth).labels[:count]
+
+
+def _ladder_space(rungs, labels) -> FiniteMetricSpace:
+    """Validated ultrametric d(x, y) = rungs[valuation(x, y)] on the
+    first len(labels) strings of depth len(rungs), named by `labels`."""
+    if len(labels) == 1:  # nothing to check; validate's fixed cost would dominate
+        return FiniteMetricSpace(labels, np.zeros((1, 1)), flavor=ULTRAMETRIC)
+    return validate(labels, _rung_matrix(rungs, len(labels)), flavor=ULTRAMETRIC)
+
+
+def _gapped_rungs(depth: int, top: float = 1.0) -> list[float]:
+    """Geometric rungs from `top` until the last level, which falls off a
+    cliff: its ratio is 0.01, far below any annulus threshold."""
+    return [top * 0.5 ** k for k in range(depth - 1)] + [0.01 * top * 0.5 ** max(0, depth - 2)]
+
+
 def sequential_metric(s: ShrinkingSequence, depth: int) -> FiniteMetricSpace:
     """Ultrametric d(x, y) = s(valuation(x, y)) on all strings of `depth`."""
     points = BinaryPointSet(depth)
@@ -99,8 +123,7 @@ def sequential_metric(s: ShrinkingSequence, depth: int) -> FiniteMetricSpace:
         raise SequenceTooShort(
             f"need at least {depth} values, sequence has {len(s)}"
         )
-    matrix = _rung_matrix(s.values[:depth], points.count)
-    return validate(points.labels, matrix, flavor=ULTRAMETRIC)
+    return _ladder_space(s.values[:depth], points.labels)
 
 
 def cantor_numerators(depth: int) -> np.ndarray:
@@ -120,17 +143,11 @@ def cantor_values(depth: int) -> np.ndarray:
     return cantor_numerators(depth).astype(float) / 3.0**depth
 
 
-def _numerator_metric(numerators: np.ndarray, depth: int, scale: float) -> np.ndarray:
-    gaps = np.abs(numerators[:, None] - numerators[None, :]).astype(float)
-    return (scale / 3.0**depth) * gaps
-
-
 def euclidean_cantor_metric(depth: int, scale: float = 1.0) -> FiniteMetricSpace:
     """Line metric scale * |value(x) - value(y)| on all strings of `depth`."""
     if not scale > 0:
         raise ValueError("scale must be positive")
-    matrix = _numerator_metric(cantor_numerators(depth), depth, scale)
-    return validate(BinaryPointSet(depth).labels, matrix, flavor=METRIC)
+    return cantor_prefix_metric(BinaryPointSet(depth).count, scale, depth)
 
 
 def cantor_prefix_metric(count: int, scale: float = 1.0, depth: int | None = None) -> FiniteMetricSpace:
@@ -143,14 +160,14 @@ def cantor_prefix_metric(count: int, scale: float = 1.0, depth: int | None = Non
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    needed = max(1, math.ceil(math.log2(count))) if count > 1 else 1
     if depth is None:
-        depth = needed
+        depth = _string_depth(count)
     if count > (1 << depth):
         raise ValueError(f"depth {depth} holds only {1 << depth} strings, need {count}")
-    points = BinaryPointSet(depth)
-    matrix = _numerator_metric(cantor_numerators(depth)[:count], depth, scale)
-    return validate(points.labels[:count], matrix, flavor=METRIC)
+    labels = _prefix_labels(count, depth)
+    numerators = cantor_numerators(depth)[:count]
+    gaps = np.abs(numerators[:, None] - numerators[None, :]).astype(float)
+    return validate(labels, (scale / 3.0**depth) * gaps, flavor=METRIC)
 
 
 def geometric_prefix_ultrametric(
@@ -166,12 +183,8 @@ def geometric_prefix_ultrametric(
         raise ValueError("count must be >= 1")
     if not top > 0 or not 0 < ratio < 1:
         raise ValueError("need top > 0 and ratio in (0, 1)")
-    if count == 1:
-        return FiniteMetricSpace(("0",), np.zeros((1, 1)), flavor=ULTRAMETRIC)
-    depth = math.ceil(math.log2(count))
-    points = BinaryPointSet(depth)
-    matrix = _rung_matrix(top * ratio ** np.arange(depth, dtype=float), count)
-    return validate(points.labels[:count], matrix, flavor=ULTRAMETRIC)
+    depth = _string_depth(count)
+    return _ladder_space(top * ratio ** np.arange(depth, dtype=float), _prefix_labels(count, depth))
 
 
 @dataclass(frozen=True)
@@ -187,18 +200,6 @@ class TypeTarget:
 def _point_labels(n: int) -> tuple[str, ...]:
     width = len(str(n - 1))
     return tuple(f"p{k:0{width}d}" for k in range(n))
-
-
-def _geometric_sequence(depth: int) -> ShrinkingSequence:
-    return ShrinkingSequence(tuple(0.5 ** k for k in range(depth)))
-
-
-def _gapped_sequence(depth: int, drop: float = 0.01) -> ShrinkingSequence:
-    # Geometric until the last level, which falls off a cliff: the final
-    # ratio is `drop`, far below any annulus threshold.
-    values = [0.5 ** k for k in range(depth - 1)]
-    values.append(drop * 0.5 ** (depth - 2))
-    return ShrinkingSequence(tuple(values))
 
 
 def _two_cluster_matrix(n: int, inner: float) -> np.ndarray:
@@ -260,15 +261,13 @@ def _build_recipe(bits: tuple[int, int, int], depth: int):
     """Return (matrix, flavor, recipe name) for the target bits."""
     n = 1 << depth
     if bits == (1, 1, 1):
-        space = sequential_metric(_geometric_sequence(depth), depth)
-        return space.matrix, ULTRAMETRIC, "geometric-ladder"
+        return geometric_prefix_ultrametric(n, 1.0).matrix, ULTRAMETRIC, "geometric-ladder"
     if bits == (0, 1, 1):
         return _two_cluster_matrix(n, 0.125), ULTRAMETRIC, "two-cluster-wide"
     if bits == (1, 0, 1):
         return _ring_matrix(n, 2.0 / n), METRIC, "ring"
     if bits == (1, 1, 0):
-        space = sequential_metric(_gapped_sequence(depth), depth)
-        return space.matrix, ULTRAMETRIC, "gapped-ladder"
+        return _rung_matrix(_gapped_rungs(depth), n), ULTRAMETRIC, "gapped-ladder"
     if bits == (0, 1, 0):
         return _two_cluster_matrix(n, 0.005), ULTRAMETRIC, "two-cluster-tight"
     if bits == (1, 0, 0):

@@ -24,6 +24,7 @@ import csv
 import hashlib
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +38,15 @@ from .build import (
     default_metric_piece,
     pairwise_linf,
 )
-from .cantor import BinaryPointSet, _point_labels, _ring_matrix, _rung_matrix, generate_type
+from .cantor import (
+    _gapped_rungs,
+    _ladder_space,
+    _point_labels,
+    _prefix_labels,
+    _ring_matrix,
+    _string_depth,
+    generate_type,
+)
 from .errors import GenerationFailed, MetricLabError
 from .jsontext import dumps
 from .moduli import (
@@ -112,6 +121,9 @@ class ExperimentConfig:
             raise ValueError("epsilon_mode must be 'fraction' or 'absolute'")
         if self.fmt not in ("json", "csv"):
             raise ValueError("format must be 'json' or 'csv'")
+        for name, value in (("n", self.n), ("depth", self.depth)):
+            if value is not None and not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.experiment == "type_grid":
             depth = 7 if self.depth is None else self.depth
             if depth < 6:
@@ -232,13 +244,11 @@ def random_space(mode: str, size: int, seed) -> FiniteMetricSpace:
             if off.min() > 0:
                 return validate(labels, matrix, flavor=METRIC)
     if mode == "sequential":
-        depth = max(1, math.ceil(math.log2(size)))
+        depth = _string_depth(size)
         rungs = np.sort(rng.uniform(0.05, 1.0, size=depth))[::-1]
         while len(set(rungs.tolist())) < depth:  # vanishing probability
             rungs = np.sort(rng.uniform(0.05, 1.0, size=depth))[::-1]
-        matrix = _rung_matrix(rungs, size)
-        points = BinaryPointSet(depth)
-        return validate(points.labels[:size], matrix, flavor=ULTRAMETRIC)
+        return _ladder_space(rungs, _prefix_labels(size, depth))
     raise ValueError(f"unknown random_space mode {mode!r}")
 
 
@@ -250,11 +260,10 @@ def random_s_ultrametric(size: int, S: RangeSet, seed) -> FiniteMetricSpace:
     if size < 2:
         raise ValueError("size must be >= 2")
     rng = _rng_of(seed)
-    depth = max(1, math.ceil(math.log2(size)))
+    depth = _string_depth(size)
     exponents = np.sort(rng.choice(2 * depth, size=depth, replace=False))
-    matrix = _rung_matrix([S.scale * S.ratio ** int(e) for e in exponents], size)
-    points = BinaryPointSet(depth)
-    return validate(points.labels[:size], matrix, flavor=ULTRAMETRIC)
+    rungs = [S.scale * S.ratio ** int(e) for e in exponents]
+    return _ladder_space(rungs, _prefix_labels(size, depth))
 
 
 def _absolute_epsilon(config: ExperimentConfig, space: FiniteMetricSpace) -> float:
@@ -489,13 +498,6 @@ def _fat_piece_matrix(count: int, diameter: float, gap: float) -> np.ndarray:
     return matrix
 
 
-def _gapped_ladder_matrix(count: int, diameter: float) -> np.ndarray:
-    depth = math.ceil(math.log2(count))
-    rungs = [diameter * 0.5 ** k for k in range(depth - 1)]
-    rungs.append(0.01 * diameter * 0.5 ** max(0, depth - 2))
-    return _rung_matrix(rungs, count)
-
-
 def _grid_piece(style: str, labels, eps: float) -> FiniteMetricSpace:
     count = len(labels)
     if style == "geo":
@@ -505,9 +507,7 @@ def _grid_piece(style: str, labels, eps: float) -> FiniteMetricSpace:
             tuple(labels), _ring_matrix(count, eps / (count // 2)), flavor=METRIC
         )
     if style == "gapped":
-        return validate(
-            tuple(labels), _gapped_ladder_matrix(count, eps), flavor=ULTRAMETRIC
-        )
+        return _ladder_space(_gapped_rungs(_string_depth(count), eps), tuple(labels))
     if style == "fat":
         return validate(
             tuple(labels), _fat_piece_matrix(count, eps, eps / 32), flavor=ULTRAMETRIC

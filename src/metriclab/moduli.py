@@ -402,7 +402,6 @@ def classify(
     space: FiniteMetricSpace,
     thresholds: Thresholds | None = None,
     r_min: float | None = None,
-    budget: int = 2000,
     rng=0,
 ) -> TypeVector:
     """Measure all three moduli and compare against thresholds.
@@ -414,7 +413,7 @@ def classify(
     """
     if thresholds is None:
         thresholds = DEFAULT_THRESHOLDS
-    doubling = doubling_constant(space, thresholds.beta0, budget=budget, rng=rng)
+    doubling = doubling_constant(space, thresholds.beta0, rng=rng)
     ud = ud_modulus(space)
     cutoff = space.separation if r_min is None else float(r_min)
     up = up_report(space, cutoff)

@@ -18,14 +18,9 @@ from scipy.cluster.hierarchy import cophenet, linkage
 from scipy.spatial.distance import squareform
 
 from .errors import (
-    AsymmetricMatrix,
     LabelMismatch,
-    NonpositiveOffDiagonal,
-    NonzeroDiagonal,
     NotUltrametric,
     SeparationUndefined,
-    StrongTriangleViolation,
-    TriangleViolation,
     ValidationError,
     ValueOutsideRangeSet,
     ZeroOffDiagonal,
@@ -150,13 +145,7 @@ class Violation:
     indices: tuple[int, ...]
     message: str
 
-    _ERRORS = {
-        "zero_diagonal": NonzeroDiagonal,
-        "symmetry": AsymmetricMatrix,
-        "positivity": NonpositiveOffDiagonal,
-        "triangle": TriangleViolation,
-        "strong_triangle": StrongTriangleViolation,
-    }
+    _ERRORS = {error.axiom: error for error in ValidationError.__subclasses__()}
 
     def to_error(self) -> ValidationError:
         return self._ERRORS[self.axiom](self.message, self.indices)

@@ -353,6 +353,31 @@ def doubling_embedding_by_two_passes(matrix: np.ndarray, eps: float):
     return np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2), coords
 
 
+def merge_singletons_by_rounds(matrix: np.ndarray, pieces, basepoints):
+    """(pieces, basepoints) after folding singletons one round at a time.
+
+    Each round rebuilds the list of singleton pieces, takes the one with
+    the lowest point, and moves that point into the piece holding its
+    nearest other point (lowest index on ties), until none is left.
+    """
+    pieces = [list(piece) for piece in pieces]
+    basepoints = list(basepoints)
+    while True:
+        lone = [k for k, piece in enumerate(pieces) if len(piece) == 1]
+        if not lone:
+            break
+        k = min(lone, key=lambda k: pieces[k][0])
+        x = pieces[k][0]
+        row = matrix[x].copy()
+        row[x] = np.inf
+        nearest = int(np.argmin(row))
+        home = next(j for j, piece in enumerate(pieces) if nearest in piece)
+        pieces[home] = sorted(pieces[home] + [x])
+        del pieces[k]
+        del basepoints[k]
+    return tuple(tuple(p) for p in pieces), tuple(basepoints)
+
+
 def valuation_by_scan(x: str, y: str) -> float:
     for i, (a, b) in enumerate(zip(x, y)):
         if a != b:

@@ -435,6 +435,22 @@ def test_merge_singletons_leaves_no_lonely_pieces():
         assert merged.n == space.n
 
 
+@pytest.mark.parametrize("mode", ["closure", "points_linf", "sequential"])
+def test_merge_singletons_matches_the_round_by_round_oracle(mode):
+    # Small eps leave every piece a singleton and larger ones a mix, so
+    # singletons fold into later singletons as well as into big pieces.
+    rng = trial_rng(63, 0)
+    for n in (2, 3, 5, 8, 17, 40, 64):
+        space = random_space(mode, n, rng)
+        for fraction in (1e-3, 0.05, 0.1, 0.2, 0.4, 1.0):
+            carved = carve_pieces(space, fraction * space.diameter)
+            merged = merge_singletons(space, carved)
+            expected = orc.merge_singletons_by_rounds(
+                space.matrix, carved.pieces, carved.basepoints
+            )
+            assert (merged.pieces, merged.basepoints) == expected, (n, fraction)
+
+
 def test_merge_singletons_needs_two_points():
     lone = FiniteMetricSpace(("a",), np.zeros((1, 1)))
     with pytest.raises(TooFewPoints):

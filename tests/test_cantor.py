@@ -1,5 +1,6 @@
 """Binary-string spaces, middle-third metrics, and the type generator."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,15 +11,23 @@ from metriclab import (
     BinaryPointSet,
     GenerationFailed,
     LengthMismatch,
+    MetricLabError,
     SequenceTooShort,
     ShrinkingSequence,
     TypeTarget,
+    build,
+    cantor,
     cantor_prefix_metric,
     cantor_values,
+    default_metric_piece,
     diagnose,
+    double_exponential_range_set,
     euclidean_cantor_metric,
+    explicit_range_set,
     generate_type,
     geometric_prefix_ultrametric,
+    geometric_range_set,
+    lab,
     sequential_metric,
     valuation,
 )
@@ -162,6 +171,72 @@ def test_geometric_prefix_ultrametric():
         geometric_prefix_ultrametric(4, top=0.0)
     with pytest.raises(ValueError):
         geometric_prefix_ultrametric(4, top=1.0, ratio=1.0)
+
+
+# ---------------------------------------------------------------------------
+# every binary-string construction, pinned to its bytes
+
+PREFIX_COUNTS = tuple(range(1, 70)) + (127, 128, 129, 256, 257)
+
+# sha256 over the outputs (and error texts) of _binary_string_outputs,
+# recorded before the constructions were routed through one depth rule,
+# one label rule and one ladder builder.
+BINARY_STRING_DIGEST = "4dc309b8daf3bc79c8a68573cde8a21ef868838d12cc182cb3f6077d2f45b354"
+
+
+def _binary_string_outputs():
+    range_sets = (
+        geometric_range_set(0.5),
+        explicit_range_set([0.0, 0.01, 0.02, 0.1, 0.5, 1.0]),
+        double_exponential_range_set(0.5),
+    )
+    for count in PREFIX_COUNTS:
+        labels = tuple(f"x{k}" for k in range(count))
+        yield cantor_prefix_metric, (count,)
+        yield cantor_prefix_metric, (count, 2.5, 9)
+        yield geometric_prefix_ultrametric, (count, 1.0)
+        yield geometric_prefix_ultrametric, (count, 0.125, 0.3)
+        yield default_metric_piece, (labels, 0.7)
+        for S in range_sets:
+            yield build._s_valued_piece, (labels, 0.3, S)
+    for depth in range(-1, 9):
+        yield euclidean_cantor_metric, (depth, 3.0)
+        yield sequential_metric, (ShrinkingSequence((1.0, 0.5, 0.3, 0.2, 0.1)), depth)
+    for bad in ((0,), (5, 1.0, 2), (5, 1.0, 13)):
+        yield cantor_prefix_metric, bad
+    yield euclidean_cantor_metric, (3, 0.0)
+    yield geometric_prefix_ultrametric, (0, 1.0)
+    yield geometric_prefix_ultrametric, (4, 0.0)
+    yield build._s_valued_piece, (("a",), 1e-9, range_sets[1])
+    yield build._s_valued_piece, (("a", "b"), 1e-9, range_sets[1])
+    for seed in range(3):
+        for size in (2, 3, 5, 16, 17, 64, 65, 129):
+            yield lab.random_space, ("sequential", size, seed)
+            yield lab.random_s_ultrametric, (size, geometric_range_set(0.3, 4.0), seed)
+    for style in ("geo", "ring", "gapped", "fat", "fat_offset"):
+        for count in (2, 3, 5, 8, 9, 33, 54, 64, 65):
+            yield lab._grid_piece, (style, tuple(f"g{k}" for k in range(count)), 0.2)
+    for bits in ((1, 1, 1), (1, 1, 0)):
+        for depth in (4, 5, 6, 7):
+            yield cantor._build_recipe, (bits, depth)
+
+
+def test_binary_string_spaces_keep_their_bytes():
+    digest = hashlib.sha256()
+    for build_fn, args in _binary_string_outputs():
+        try:
+            out = build_fn(*args)
+        except (MetricLabError, ValueError) as exc:
+            digest.update(f"{type(exc).__name__}: {exc}".encode())
+            continue
+        if isinstance(out, tuple):  # a recipe: (matrix, flavor, name)
+            matrix, flavor, name = out
+            digest.update(f"{flavor} {name}".encode())
+        else:
+            matrix = out.matrix
+            digest.update(f"{out.flavor} {out.labels!r}".encode())
+        digest.update(matrix.tobytes())
+    assert digest.hexdigest() == BINARY_STRING_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -427,6 +427,22 @@ def test_malformed_thresholds_are_a_clean_error(tmp_path, capsys, thresholds):
     assert captured.err.startswith("error: malformed thresholds object:")
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"experiment": "dense_ud", "n": 3.5},
+        {"experiment": "dense_ud", "n": 40.0},
+        {"experiment": "type_grid", "depth": 6.5},
+    ],
+    ids=["fractional_n", "float_n", "fractional_depth"],
+)
+def test_non_integer_experiment_sizes_are_a_clean_error(tmp_path, capsys, field):
+    config = _write(tmp_path, "cfg.json", field)
+    assert main(["experiment", config]) == 1
+    name = "depth" if "depth" in field else "n"
+    assert capsys.readouterr().err.startswith(f"error: {name} must be an integer")
+
+
 def test_malformed_experiment_thresholds_are_a_clean_error(tmp_path, capsys):
     config = _write(tmp_path, "cfg.json", {"experiment": "dense_ud", "thresholds": [1]})
     assert main(["experiment", config]) == 1

@@ -283,6 +283,24 @@ def test_dense_reports_keep_their_bytes(experiment):
     assert digests == DENSE_REPORT_DIGESTS[experiment]
 
 
+# (json, csv) digests of the depth-6 type grid at seed 9.  Only two of
+# its eight rows pass at this depth (the fat-ring recipes need 81 points
+# and four amalgams miss their type); the digests pin every row.
+TYPE_GRID_REPORT_DIGESTS = (
+    "4b66b9769a51e021385b2de5f36081a15b9e80ab599de3af033029976c17a7bc",
+    "f321206ab43f076a099f914b3bea5577c376403f404f3a7ef39d1dbe5ebff892",
+)
+
+
+def test_type_grid_report_keeps_its_bytes():
+    report = run_experiment(ExperimentConfig("type_grid", depth=6, seed=9))
+    digests = tuple(
+        hashlib.sha256(render_report(report, fmt).encode()).hexdigest()
+        for fmt in ("json", "csv")
+    )
+    assert digests == TYPE_GRID_REPORT_DIGESTS
+
+
 def test_perturb_uniform_small_run():
     config = ExperimentConfig("perturb_uniform", n=8, trials=2, seed=21)
     report = run_experiment(config)
