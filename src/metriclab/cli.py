@@ -184,14 +184,9 @@ def _cmd_rangeset_sequence(args) -> int:
 
 def _cmd_experiment(args) -> int:
     obj = _load_json(args.config)
-    if args.seed is not None:
-        obj["seed"] = args.seed
-    if args.trials is not None:
-        obj["trials"] = args.trials
-    if args.format is not None:
-        obj["format"] = args.format
-    if args.out is not None:
-        obj["out"] = args.out
+    flags = {"seed": args.seed, "trials": args.trials, "format": args.format, "out": args.out}
+    if isinstance(obj, dict):  # anything else is reported as malformed by from_json
+        obj.update((key, value) for key, value in flags.items() if value is not None)
     config = ExperimentConfig.from_json(obj)
     report = run_experiment(config)
     _emit(None, config.out, rendered=render_report(report, config.fmt))

@@ -25,7 +25,8 @@ import hashlib
 import io
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -69,30 +70,17 @@ from .spaces import (
     validate,
 )
 
-EXPERIMENTS = (
-    "dense_doubling",
-    "dense_ud",
-    "dense_up",
-    "dense_ult_doubling",
-    "dense_ult_up",
-    "perturb_uniform",
-    "perturb_chain",
-    "type_grid",
-)
-
 # Budget for the before/after modulus measurements recorded per trial
 # (kept modest: these are report fields, not the pass/fail criteria).
 _RECORD_BUDGET = 400
 
-_DEFAULT_SIZES = {
-    "dense_doubling": 64,
-    "dense_ud": 64,
-    "dense_up": 64,
-    "dense_ult_doubling": 64,
-    "dense_ult_up": 64,
-    "perturb_uniform": 32,
-    "perturb_chain": 33,
-}
+
+def _json_key(name: str) -> str:
+    return "format" if name == "fmt" else name
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -113,6 +101,13 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}"
             )
+        for name in ("n", "depth", "trials", "seed"):
+            value = getattr(self, name)
+            if not _is_integer(value) and not (value is None and name in ("n", "depth")):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.epsilon, numbers.Real) or isinstance(self.epsilon, bool):
+            raise ValueError(f"epsilon must be a number, got {self.epsilon!r}")
+        object.__setattr__(self, "epsilon", float(self.epsilon))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.epsilon > 0:
@@ -121,50 +116,30 @@ class ExperimentConfig:
             raise ValueError("epsilon_mode must be 'fraction' or 'absolute'")
         if self.fmt not in ("json", "csv"):
             raise ValueError("format must be 'json' or 'csv'")
-        for name, value in (("n", self.n), ("depth", self.depth)):
-            if value is not None and not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.experiment == "type_grid":
-            depth = 7 if self.depth is None else self.depth
-            if depth < 6:
-                raise ValueError("type_grid needs depth >= 6")
-            object.__setattr__(self, "depth", depth)
-        else:
-            n = _DEFAULT_SIZES[self.experiment] if self.n is None else self.n
-            floor = 3 if self.experiment == "dense_up" else 2
-            if n < floor:
-                raise ValueError(f"{self.experiment} needs n >= {floor}")
-            object.__setattr__(self, "n", n)
+        _, size, default, least = _KINDS[self.experiment]
+        value = default if getattr(self, size) is None else getattr(self, size)
+        if value < least:
+            raise ValueError(f"{self.experiment} needs {size} >= {least}")
+        object.__setattr__(self, size, value)
 
     def to_json(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "n": self.n,
-            "depth": self.depth,
-            "epsilon": self.epsilon,
-            "epsilon_mode": self.epsilon_mode,
-            "trials": self.trials,
-            "seed": self.seed,
-            "thresholds": self.thresholds.to_json(),
-            "format": self.fmt,
-            "out": self.out,
-        }
+        obj = {_json_key(f.name): getattr(self, f.name) for f in fields(self)}
+        obj["thresholds"] = self.thresholds.to_json()
+        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
+        """Read the config's fields from `obj`; absent ones keep their
+        defaults, and `experiment` is required."""
         try:
-            return cls(
-                experiment=obj["experiment"],
-                n=obj.get("n"),
-                depth=obj.get("depth"),
-                epsilon=float(obj.get("epsilon", 0.125)),
-                epsilon_mode=obj.get("epsilon_mode", "fraction"),
-                trials=int(obj.get("trials", 1)),
-                seed=int(obj.get("seed", 0)),
-                thresholds=Thresholds.from_json(obj.get("thresholds", {})),
-                fmt=obj.get("format", "json"),
-                out=obj.get("out"),
-            )
+            args = {
+                f.name: obj[_json_key(f.name)]
+                for f in fields(cls)
+                if f.default is MISSING or _json_key(f.name) in obj
+            }
+            if "thresholds" in args:
+                args["thresholds"] = Thresholds.from_json(args["thresholds"])
+            return cls(**args)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed experiment config: {exc}") from exc
 
@@ -207,12 +182,6 @@ def matrix_digest(space: FiniteMetricSpace) -> str:
     return hashlib.sha256(space.matrix.tobytes()).hexdigest()[:16]
 
 
-def _rng_of(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(trial,)))
 
@@ -229,7 +198,7 @@ def random_space(mode: str, size: int, seed) -> FiniteMetricSpace:
     """
     if size < 2:
         raise ValueError("size must be >= 2")
-    rng = _rng_of(seed)
+    rng = np.random.default_rng(seed)
     labels = _point_labels(size)
     if mode == "closure":
         raw = rng.uniform(0.5, 2.0, size=(size, size))
@@ -259,7 +228,7 @@ def random_s_ultrametric(size: int, S: RangeSet, seed) -> FiniteMetricSpace:
         raise ValueError("random S-valued instances need a geometric range set")
     if size < 2:
         raise ValueError("size must be >= 2")
-    rng = _rng_of(seed)
+    rng = np.random.default_rng(seed)
     depth = _string_depth(size)
     exponents = np.sort(rng.choice(2 * depth, size=depth, replace=False))
     rungs = [S.scale * S.ratio ** int(e) for e in exponents]
@@ -338,25 +307,24 @@ def _dense_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
     )
 
 
-def _run_trials(config: ExperimentConfig, trial_fn) -> list[TrialRecord]:
-    """One record per trial; a library error becomes a failed error row."""
-    records = []
+def _run_trials(trial_fn, config: ExperimentConfig) -> list[dict]:
+    """One row per trial; a library error becomes a failed error row."""
+    rows = []
     for trial in range(config.trials):
         try:
-            records.append(trial_fn(config, trial))
+            record = trial_fn(config, trial)
         except MetricLabError as exc:
-            records.append(
-                TrialRecord(
-                    trial=trial,
-                    digest="",
-                    epsilon=float("nan"),
-                    achieved=float("nan"),
-                    bound=float("nan"),
-                    passed=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+            record = TrialRecord(
+                trial=trial,
+                digest="",
+                epsilon=float("nan"),
+                achieved=float("nan"),
+                bound=float("nan"),
+                passed=False,
+                error=f"{type(exc).__name__}: {exc}",
             )
-    return records
+        rows.append(record.to_row())
+    return rows
 
 
 def _uniform_space(n: int) -> FiniteMetricSpace:
@@ -371,23 +339,17 @@ def _progression_space(n: int) -> FiniteMetricSpace:
 
 
 def _perturb_within_half(base: FiniteMetricSpace, rng) -> FiniteMetricSpace:
-    """Add symmetric off-diagonal uniform(-0.49, 0.49) noise; repair a
-    broken triangle inequality by the shortest-path closure; redraw if
-    the repaired draw leaves the sup-distance budget (it provably does
-    not for the uniform base, but the check is kept honest)."""
+    """Add symmetric off-diagonal uniform(-0.49, 0.49) noise to the
+    uniform base and repair a broken triangle inequality by the
+    shortest-path closure.  Raw entries lie in [0.51, 1.49) and a closure
+    path sums at least two of them, so repaired entries stay there too and
+    the result lies within sup distance 1/2 of the base."""
     n = base.n
-    for _ in range(100):
-        noise = rng.uniform(-0.49, 0.49, size=(n, n))
-        noise = np.triu(noise, k=1)
-        noise = noise + noise.T
-        raw = base.matrix + noise
-        if diagnose(base.labels, raw, flavor=METRIC) is None:
-            candidate = FiniteMetricSpace(base.labels, raw, flavor=METRIC)
-        else:
-            candidate = metric_closure(base.labels, raw)
-        if sup_distance(candidate, base).value < 0.5:
-            return candidate
-    raise GenerationFailed("no perturbation within the 1/2 ball after 100 draws")
+    noise = np.triu(rng.uniform(-0.49, 0.49, size=(n, n)), k=1)
+    raw = base.matrix + noise + noise.T
+    if diagnose(base.labels, raw, flavor=METRIC) is None:
+        return FiniteMetricSpace(base.labels, raw, flavor=METRIC)
+    return metric_closure(base.labels, raw)
 
 
 def _perturb_uniform_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
@@ -401,12 +363,13 @@ def _perturb_uniform_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
     off = perturbed.matrix[~np.eye(config.n, dtype=bool)]
     min_diam_ratio = float(off.min())
     max_sep_ratio = float(off.max())
-    passed = min_diam_ratio >= 0.5 and max_sep_ratio <= 2.0
+    achieved = sup_distance(perturbed, base).value
+    passed = achieved < 0.5 and min_diam_ratio >= 0.5 and max_sep_ratio <= 2.0
     return TrialRecord(
         trial=trial,
         digest=matrix_digest(perturbed),
         epsilon=0.5,
-        achieved=sup_distance(perturbed, base).value,
+        achieved=achieved,
         bound=0.5,
         passed=bool(passed),
         before={"diam_ratio_floor": 0.5, "sep_ratio_cap": 2.0},
@@ -439,18 +402,6 @@ def _perturb_chain_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
         before={"delta_star": float(base_mod)},
         after={"delta_star": float(pert_mod)},
     )
-
-
-ALL_TYPES = (
-    (1, 1, 1),
-    (0, 1, 1),
-    (1, 0, 1),
-    (1, 1, 0),
-    (0, 1, 0),
-    (1, 0, 0),
-    (0, 0, 1),
-    (0, 0, 0),
-)
 
 
 def grid_host(n: int, rng) -> FiniteMetricSpace:
@@ -539,7 +490,7 @@ def run_type_grid(config: ExperimentConfig) -> list[dict]:
     depth = config.depth
     n = 1 << depth
     rows = []
-    for index, target in enumerate(ALL_TYPES):
+    for index, (target, styles) in enumerate(GRID_PIECES.items()):
         rng = trial_rng(config.seed, index)
         row = {
             "target": "".join(str(b) for b in target),
@@ -560,7 +511,6 @@ def run_type_grid(config: ExperimentConfig) -> list[dict]:
             host = grid_host(n, rng)
             eps = _absolute_epsilon(config, host)
             partition = carve_pieces(host, eps)
-            styles = GRID_PIECES[target]
             if len(partition.pieces) != len(styles):
                 raise GenerationFailed(
                     f"carving produced {len(partition.pieces)} pieces, wanted {len(styles)}"
@@ -577,22 +527,32 @@ def run_type_grid(config: ExperimentConfig) -> list[dict]:
             row["pass"] = bool(
                 measured.bits == target and row["sup_distance"] <= 4 * eps
             )
-        except (MetricLabError, GenerationFailed) as exc:
+        except MetricLabError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
     return rows
 
 
+# Per experiment kind: the function from config to report rows, the
+# config field that sizes the run, that field's default and its least
+# value.  A perfectness host needs two pieces of at least two points.
+_dense_rows = partial(_run_trials, _dense_trial)
+_KINDS = {
+    "dense_doubling": (_dense_rows, "n", 64, 2),
+    "dense_ud": (_dense_rows, "n", 64, 2),
+    "dense_up": (_dense_rows, "n", 64, 3),
+    "dense_ult_doubling": (_dense_rows, "n", 64, 2),
+    "dense_ult_up": (_dense_rows, "n", 64, 2),
+    "perturb_uniform": (partial(_run_trials, _perturb_uniform_trial), "n", 32, 2),
+    "perturb_chain": (partial(_run_trials, _perturb_chain_trial), "n", 33, 2),
+    "type_grid": (run_type_grid, "depth", 7, 6),
+}
+EXPERIMENTS = tuple(_KINDS)
+
+
 def run_experiment(config: ExperimentConfig) -> dict:
-    """Dispatch, collect rows, and assemble the deterministic report."""
-    if config.experiment == "type_grid":
-        rows = run_type_grid(config)
-    else:
-        trial_fn = {
-            "perturb_uniform": _perturb_uniform_trial,
-            "perturb_chain": _perturb_chain_trial,
-        }.get(config.experiment, _dense_trial)
-        rows = [record.to_row() for record in _run_trials(config, trial_fn)]
+    """Collect the kind's rows and assemble the deterministic report."""
+    rows = _KINDS[config.experiment][0](config)
     passes = [bool(row["pass"]) for row in rows]
     report = {
         "config": config.to_json(),

@@ -284,7 +284,7 @@ def doubling_constant(
         constant, witness = _exhaustive_doubling(m, beta)
         return DoublingReport(beta, constant, witness, "exhaustive")
 
-    generator = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    generator = np.random.default_rng(rng)
     best = -np.inf
     witness: tuple[int, ...] = ()
 

@@ -78,21 +78,28 @@ def double_exponential_range_set(base: float) -> RangeSet:
 
 
 def _element(S: RangeSet, n: int) -> float:
-    """The n-th positive element of a geometric or double-exponential set."""
+    """The n-th positive element of S in decreasing order (0 past the
+    last element of an explicit set)."""
+    if S.kind == EXPLICIT:
+        return S.values[-1 - n] if n < len(S.values) else 0.0
     if S.kind == GEOMETRIC:
         return S.scale * S.ratio**n
     return S.base ** (2**n)
 
 
 def _exponent(S: RangeSet, x: float) -> int:
-    """Least n >= 0 with _element(S, n) <= x, for a parametric S and x > 0.
+    """Least n >= 0 with _element(S, n) <= x, for x > 0.
 
-    Elements never increase with n and underflow to 0, so the answer
-    exists.  A log estimate only picks the starting point: the search
-    gallops from it until it brackets the answer, then bisects.
+    Elements never increase with n and reach 0 (an explicit set past its
+    last value, a parametric one by underflow), so the answer exists.  An
+    explicit set bisects its values.  For a parametric set a log estimate
+    only picks the starting point: the search gallops from it until it
+    brackets the answer, then bisects.
     """
     if x >= _element(S, 0):
         return 0
+    if S.kind == EXPLICIT:
+        return len(S.values) - bisect.bisect_right(S.values, x)
     if S.kind == GEOMETRIC:
         # log(x) - log(scale), not log(x / scale): the quotient can underflow.
         level = (math.log(x) - math.log(S.scale)) / math.log(S.ratio)
@@ -121,9 +128,6 @@ def least_geq(S: RangeSet, x: float) -> float:
         raise ValueError("x must be nonnegative")
     if x == 0:
         return 0.0
-    if S.kind == EXPLICIT:
-        i = bisect.bisect_left(S.values, x)
-        return S.values[i] if i < len(S.values) else math.inf
     if x > _element(S, 0):
         return math.inf
     n = _exponent(S, x)
@@ -135,9 +139,6 @@ def greatest_leq(S: RangeSet, x: float) -> float:
     """Largest element of S that is <= x (0 always qualifies)."""
     if x < 0:
         raise ValueError("x must be nonnegative")
-    if S.kind == EXPLICIT:
-        i = bisect.bisect_right(S.values, x)
-        return S.values[i - 1] if i > 0 else 0.0
     if x == 0:
         return 0.0
     return _element(S, _exponent(S, x))
@@ -296,18 +297,15 @@ def ladder(S: RangeSet, top: float, count: int) -> tuple[float, ...]:
     first = greatest_leq(S, top)
     if first == 0.0:
         raise ValueError(f"no positive element of S lies below {top!r}")
-    if S.kind == EXPLICIT:
-        i = bisect.bisect_right(S.values, top) - 1
-        rungs = [v for v in S.values[max(1, i - count + 1) : i + 1]][::-1]
-        if len(rungs) < count:
-            raise ValueError(
-                f"explicit set holds only {len(rungs)} positive values <= {top!r}"
-            )
-        return tuple(rungs[:count])
     # Rungs are recomputed from the exponent so they match least_geq bitwise.
     n0 = _exponent(S, top)
     rungs = tuple(_element(S, n0 + j) for j in range(count))
-    # Past the normal range consecutive elements round to one value or to 0.
+    # An explicit set runs out of values; past the normal range a
+    # parametric set's consecutive elements round to one value or to 0.
+    if S.kind == EXPLICIT and rungs[-1] == 0.0:
+        raise ValueError(
+            f"explicit set holds only {rungs.index(0.0)} positive values <= {top!r}"
+        )
     if rungs[-1] == 0.0 or any(b >= a for a, b in zip(rungs, rungs[1:])):
         raise ValueError(
             f"S holds no {count} strictly decreasing positive floats from {first!r} down"

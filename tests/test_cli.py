@@ -443,6 +443,24 @@ def test_non_integer_experiment_sizes_are_a_clean_error(tmp_path, capsys, field)
     assert capsys.readouterr().err.startswith(f"error: {name} must be an integer")
 
 
+@pytest.mark.parametrize("obj", [[1, 2], "dense_ud"], ids=["list", "string"])
+@pytest.mark.parametrize(
+    "flags", [[], ["--seed", "3"], ["--format", "csv"]], ids=["no-flag", "seed", "format"]
+)
+def test_non_object_experiment_config_is_a_clean_error(tmp_path, capsys, obj, flags):
+    config = _write(tmp_path, "cfg.json", obj)
+    assert main(["experiment", config, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed experiment config: ")
+
+
+def test_experiment_flags_override_the_file_before_validation(tmp_path, capsys):
+    config = _write(tmp_path, "cfg.json", {"experiment": "dense_ud", "n": 12, "format": "yaml"})
+    assert main(["experiment", config, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("achieved,")
+
+
 def test_malformed_experiment_thresholds_are_a_clean_error(tmp_path, capsys):
     config = _write(tmp_path, "cfg.json", {"experiment": "dense_ud", "thresholds": [1]})
     assert main(["experiment", config]) == 1

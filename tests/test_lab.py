@@ -91,6 +91,29 @@ def test_config_json_round_trip():
     assert ExperimentConfig.from_json({"experiment": "dense_ud"}).n == 64
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"trials": 2.7}, {"seed": 3.9}, {"epsilon": True}, {"trials": "3"}],
+    ids=["fractional-trials", "fractional-seed", "bool-epsilon", "string-trials"],
+)
+def test_config_json_values_are_not_coerced(fields):
+    with pytest.raises(ValueError, match="must be an integer|must be a number"):
+        ExperimentConfig.from_json({"experiment": "dense_ud", **fields})
+
+
+def test_config_rejects_a_fractional_trial_count():
+    with pytest.raises(ValueError, match="trials must be an integer, got 2.5"):
+        ExperimentConfig("dense_ud", trials=2.5)
+
+
+def test_config_stores_an_integral_epsilon_as_a_float():
+    for config in (
+        ExperimentConfig("dense_ud", epsilon=1),
+        ExperimentConfig.from_json({"experiment": "dense_ud", "epsilon": 1}),
+    ):
+        assert repr(config.to_json()["epsilon"]) == "1.0"
+
+
 # ---------------------------------------------------------------------------
 # trial records and digests
 
@@ -268,6 +291,30 @@ DENSE_REPORT_DIGESTS = {
 }
 
 
+# The same digests for the two perturbation experiments, recorded before
+# every experiment kind was driven from one table.
+PERTURB_REPORT_DIGESTS = {
+    "perturb_uniform": (
+        "8d70f3940fe68cc018475a5ce85d9f2dab4adf7d3c7a838f9918dd7d58820b7e",
+        "349d61a9d0a809c38e11ce78daea0ae98e786cf253850ec75a167d4782c33884",
+    ),
+    "perturb_chain": (
+        "9b569de525fdf49ee468c8fb454a03720126b8e73847659deb5186f18d15449d",
+        "d478c8954e0b3bb68d4e11f474e5312bebfc2c80a1e50ffa8ef8d60a0ba8d008",
+    ),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(PERTURB_REPORT_DIGESTS))
+def test_perturb_reports_keep_their_bytes(experiment):
+    report = run_experiment(ExperimentConfig(experiment, n=16, trials=2, seed=9))
+    digests = tuple(
+        hashlib.sha256(render_report(report, fmt).encode()).hexdigest()
+        for fmt in ("json", "csv")
+    )
+    assert digests == PERTURB_REPORT_DIGESTS[experiment]
+
+
 @pytest.mark.parametrize("experiment", sorted(DENSE_REPORT_DIGESTS))
 def test_dense_reports_keep_their_bytes(experiment):
     """The dense reports stay byte-identical under refactors.
@@ -323,6 +370,24 @@ def test_perturb_uniform_check_fails_on_a_shrunk_pair(monkeypatch):
     report = run_experiment(ExperimentConfig("perturb_uniform", n=8, trials=2, seed=21))
     for row in report["rows"]:
         assert row["after_min_diam_ratio"] == 0.45
+        assert row["pass"] is False
+    assert report["summary"]["all_pass"] is False
+
+
+def test_perturb_uniform_check_fails_outside_the_half_ball(monkeypatch):
+    # One entry at 1.6 keeps both ratios inside their bounds (0.5 and 2),
+    # so only the sup-distance check against the reported bound can fail.
+    def stretch_one_pair(base, rng):
+        matrix = base.matrix.copy()
+        matrix[0, 1] = matrix[1, 0] = 1.6
+        return validate(base.labels, matrix)
+
+    monkeypatch.setattr(lab, "_perturb_within_half", stretch_one_pair)
+    report = run_experiment(ExperimentConfig("perturb_uniform", n=8, trials=2, seed=21))
+    for row in report["rows"]:
+        assert row["after_max_sep_ratio"] == 1.6
+        assert row["after_min_diam_ratio"] >= 0.5
+        assert row["achieved"] > row["bound"] == 0.5
         assert row["pass"] is False
     assert report["summary"]["all_pass"] is False
 

@@ -1,6 +1,7 @@
 """Range sets, enveloped sequences, window checks, and the obstruction scan."""
 
 import math
+import re
 
 import pytest
 
@@ -141,6 +142,39 @@ def test_parametric_queries_match_enumeration(kind, param, scale):
             else:
                 with pytest.raises(ValueError):
                     ladder(S, x, 3)
+
+
+_EXPLICIT_SETS = [
+    (0.0, 1.0),
+    (0.0, 0.1, 0.2, 0.4, 0.8),
+    (0.0, 5e-324, 1e-310, 1e-300, 0.5, 3.0, 1e300),
+    (0.0, 1.0, 1.0 + 2.0**-52, 2.0),
+]
+
+
+@pytest.mark.parametrize("values", _EXPLICIT_SETS)
+def test_explicit_queries_match_enumeration(values):
+    S = explicit_range_set(values)
+    members = list(values)
+    positive = members[:0:-1]  # decreasing, as a ladder reads them
+    xs = [0.0, 5e-324, math.inf, 2 * members[-1]]
+    for v in members:
+        xs += [v, v * (1 + 1e-15), v * (1 - 1e-15), v + 1e-12]
+    for x in xs:
+        assert least_geq(S, x) == orc.least_geq_by_scan(members, x)
+        below = greatest_leq(S, x)
+        assert below == orc.greatest_leq_by_scan(members, x)
+        assert contains(S, x) == (orc.least_geq_by_scan(members, x) == x)
+        if below == 0:
+            continue
+        held = sum(v <= x for v in positive)
+        for count in range(1, len(positive) + 2):
+            if count <= held:
+                assert ladder(S, x, count) == orc.ladder_by_scan(positive, x, count)
+            else:
+                message = f"explicit set holds only {held} positive values <= {x!r}"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    ladder(S, x, count)
 
 
 def test_contains_with_and_without_slack():
