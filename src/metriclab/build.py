@@ -1,6 +1,5 @@
 """Constructions: amalgamation over a partition, Lipschitz extension,
-landmark max-norm embeddings, metric extension, and the three
-approximation pipelines.
+max-norm embeddings, and the three approximation pipelines.
 
 The central device is amalgamation: given a host metric d, a partition
 into pieces with basepoints, and a replacement metric on each piece,
@@ -125,16 +124,6 @@ class Embedding:
     def to_json(self) -> dict:
         return {"dimension": self.dimension, "coordinates": self.coordinates.tolist()}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Embedding":
-        try:
-            coords = np.array(obj["coordinates"], dtype=float)
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed embedding object: {exc}") from exc
-        if coords.ndim != 2 or coords.shape[1] != int(obj.get("dimension", coords.shape[1])):
-            raise ValueError("embedding dimension disagrees with coordinates")
-        return cls(coords)
-
 
 # Elements (8 MiB of floats) in one row block's temporary in the
 # row-blocked kernels below.
@@ -250,31 +239,26 @@ def mcshane_extend(
 ):
     """Extend an l-Lipschitz map on a subset to the whole space.
 
-    F(x) = min over a in subset of (values[a] + lip * d(x, a)), applied
-    per component for vector values, at every x outside the subset; on
-    the subset F is the input, bit-exactly.  The Lipschitz hypothesis is
-    verified on the subset first (max-norm componentwise for vectors).
-    Both steps run in row blocks, so beyond the (k, k) and
-    (n, components) arrays memory holds one block.
+    `values` is a (k, components) array whose row a is the value at
+    subset[a].  F(x) = min over a in subset of (values[a] + lip * d(x, a)),
+    per component, at every x outside the subset; on the subset F is the
+    input, bit-exactly.  The Lipschitz hypothesis is verified on the
+    subset first (max norm over components).  Both steps run in row
+    blocks, so beyond the (k, k) and (n, components) arrays memory holds
+    one block.
+
+    Returns the (n, components) extension, the sorted subset and the
+    (k, k) max-norm matrix of its values (the Lipschitz check's left
+    side), so a caller can reuse that block.
     """
-    extended, _, _ = _mcshane_extend(space, subset, values, lip)
-    return extended[:, 0] if np.ndim(values) == 1 else extended
-
-
-def _mcshane_extend(space, subset, values, lip):
-    """:func:`mcshane_extend` as (n, components) array, with the sorted
-    subset and the (k, k) max-norm matrix of its values (the Lipschitz
-    check's left side), so a caller can reuse that block."""
     subset = [int(i) for i in subset]
     if not subset:
         raise ValueError("subset must be nonempty")
     if len(set(subset)) != len(subset):
         raise ValueError("subset indices must be distinct")
     f = np.array(values, dtype=float)
-    if f.ndim == 1:
-        f = f[:, None]
-    if f.shape[0] != len(subset):
-        raise ValueError(f"{f.shape[0]} values for {len(subset)} subset points")
+    if f.ndim != 2 or f.shape[0] != len(subset):
+        raise ValueError(f"values must be a ({len(subset)}, components) array, got shape {f.shape}")
     # values stay paired with their subset indices under the sort
     order = np.argsort(np.asarray(subset, dtype=np.int64), kind="stable")
     subset = [subset[k] for k in order]
@@ -302,32 +286,6 @@ def _mcshane_extend(space, subset, values, lip):
         steps = lip * space.matrix[rows][:, subset]
         extended[rows] = (f[None, :, :] + steps[:, :, None]).min(axis=1)
     return extended, subset, spread
-
-
-def kuratowski_embed(space: FiniteMetricSpace, landmarks) -> Embedding:
-    """Coordinates x -> (d(x, p)) over landmarks: 1-Lipschitz into the
-    max norm, isometric on the landmark set itself."""
-    landmarks = sorted(int(i) for i in landmarks)
-    if not landmarks:
-        raise ValueError("landmarks must be nonempty")
-    return Embedding(space.matrix[:, landmarks])
-
-
-def extend_metric(
-    ambient: FiniteMetricSpace,
-    subset,
-    inner: FiniteMetricSpace,
-) -> FiniteMetricSpace:
-    """A metric on all points that restricts to `inner` on `subset`,
-    built by amalgamating with the subset as one piece and every other
-    point as a singleton."""
-    subset = tuple(sorted(int(i) for i in subset))
-    rest = [i for i in range(ambient.n) if i not in set(subset)]
-    pieces = (subset,) + tuple((i,) for i in rest)
-    basepoints = (subset[0],) + tuple(rest)
-    partition = ClopenPartition(pieces, basepoints)
-    piece_metrics = [inner] + [ambient.restrict([i]) for i in rest]
-    return amalgamate_metric(ambient, partition, piece_metrics)
 
 
 def greedy_net(space: FiniteMetricSpace, eps: float) -> list[int]:
@@ -412,7 +370,7 @@ def approximate_doubling(
     property analytically.
     """
     net = greedy_net(d, eps)
-    lipschitz, net, spread = _mcshane_extend(d, net, d.matrix[np.ix_(net, net)], 1.0)
+    lipschitz, net, spread = mcshane_extend(d, net, d.matrix[np.ix_(net, net)], 1.0)
     aux = np.arange(d.n, dtype=float) * (eps / (2 * d.n))
     embedding = Embedding(np.hstack([lipschitz, aux[:, None]]))
     # The max-norm matrix of the coordinates, with its net x net block

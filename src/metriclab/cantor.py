@@ -3,8 +3,9 @@
 Points are the 2**depth binary strings of a fixed depth in numeric
 order.  Two families of metrics live on them:
 
-* sequential ultrametrics d(x, y) = s(first differing index), driven by
-  a strictly decreasing positive sequence s;
+* sequential ultrametrics d(x, y) = s(v(x, y)), where v(x, y) is the
+  index of the first differing character, driven by a strictly
+  decreasing positive sequence s;
 * the middle-third embedding metric d(x, y) = scale * |value(x) - value(y)|
   with value(x) = sum of 2*x(i)/3**(i+1).
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenerationFailed, LengthMismatch, SequenceTooShort
+from .errors import GenerationFailed, SequenceTooShort
 from .moduli import Thresholds, classify
 from .rangesets import ShrinkingSequence
 from .spaces import METRIC, ULTRAMETRIC, FiniteMetricSpace, validate
@@ -58,22 +59,10 @@ class BinaryPointSet:
         return ((ids[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
-def valuation(x, y) -> float:
-    """Index of the first differing character; inf when the strings agree."""
-    xs = [int(c) for c in x]
-    ys = [int(c) for c in y]
-    if len(xs) != len(ys):
-        raise LengthMismatch(f"lengths differ: {len(xs)} vs {len(ys)}")
-    for i, (a, b) in enumerate(zip(xs, ys)):
-        if a != b:
-            return i
-    return math.inf
-
-
 def _valuation_matrix(depth: int) -> np.ndarray:
-    """Pairwise valuation over BinaryPointSet(depth), with depth on the diagonal.
+    """Pairwise v(x, y) over BinaryPointSet(depth), with depth on the diagonal.
 
-    The value `depth` stands in for the infinite valuation of equal
+    The value `depth` stands in for the infinite v(x, x) of equal
     strings so the matrix can index a length-(depth+1) lookup table.
     """
     count = 1 << depth
@@ -86,7 +75,7 @@ def _valuation_matrix(depth: int) -> np.ndarray:
 
 
 def _rung_matrix(rungs, count: int) -> np.ndarray:
-    """d(x, y) = rungs[valuation(x, y)] over the first `count` strings of
+    """d(x, y) = rungs[v(x, y)] over the first `count` strings of
     depth len(rungs), with 0 on the diagonal."""
     table = np.append(np.asarray(rungs, dtype=float), 0.0)
     return table[_valuation_matrix(len(rungs))[:count, :count]]
@@ -103,7 +92,7 @@ def _prefix_labels(count: int, depth: int) -> tuple[str, ...]:
 
 
 def _ladder_space(rungs, labels) -> FiniteMetricSpace:
-    """Validated ultrametric d(x, y) = rungs[valuation(x, y)] on the
+    """Validated ultrametric d(x, y) = rungs[v(x, y)] on the
     first len(labels) strings of depth len(rungs), named by `labels`."""
     if len(labels) == 1:  # nothing to check; validate's fixed cost would dominate
         return FiniteMetricSpace(labels, np.zeros((1, 1)), flavor=ULTRAMETRIC)
@@ -117,7 +106,7 @@ def _gapped_rungs(depth: int, top: float = 1.0) -> list[float]:
 
 
 def sequential_metric(s: ShrinkingSequence, depth: int) -> FiniteMetricSpace:
-    """Ultrametric d(x, y) = s(valuation(x, y)) on all strings of `depth`."""
+    """Ultrametric d(x, y) = s(v(x, y)) on all strings of `depth`."""
     points = BinaryPointSet(depth)
     if len(s) < depth:
         raise SequenceTooShort(
@@ -138,18 +127,6 @@ def cantor_numerators(depth: int) -> np.ndarray:
     return BinaryPointSet(depth).bits().astype(np.int64) @ weights
 
 
-def cantor_values(depth: int) -> np.ndarray:
-    """Middle-third values: string x maps to sum of 2*x(i)/3**(i+1)."""
-    return cantor_numerators(depth).astype(float) / 3.0**depth
-
-
-def euclidean_cantor_metric(depth: int, scale: float = 1.0) -> FiniteMetricSpace:
-    """Line metric scale * |value(x) - value(y)| on all strings of `depth`."""
-    if not scale > 0:
-        raise ValueError("scale must be positive")
-    return cantor_prefix_metric(BinaryPointSet(depth).count, scale, depth)
-
-
 def cantor_prefix_metric(count: int, scale: float = 1.0, depth: int | None = None) -> FiniteMetricSpace:
     """First `count` strings of a common depth under the middle-third metric.
 
@@ -160,6 +137,8 @@ def cantor_prefix_metric(count: int, scale: float = 1.0, depth: int | None = Non
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if not scale > 0:
+        raise ValueError("scale must be positive")
     if depth is None:
         depth = _string_depth(count)
     if count > (1 << depth):
@@ -175,7 +154,7 @@ def geometric_prefix_ultrametric(
 ) -> FiniteMetricSpace:
     """Sequential ultrametric of diameter `top` on the first `count` strings.
 
-    Distances are top * ratio**valuation, so the output is an
+    Distances are top * ratio**v(x, y), so the output is an
     ultrametric whose values form a geometric ladder; used as the
     default replacement piece in the approximation pipelines.
     """
@@ -185,16 +164,6 @@ def geometric_prefix_ultrametric(
         raise ValueError("need top > 0 and ratio in (0, 1)")
     depth = _string_depth(count)
     return _ladder_space(top * ratio ** np.arange(depth, dtype=float), _prefix_labels(count, depth))
-
-
-@dataclass(frozen=True)
-class TypeTarget:
-    bits: tuple[int, int, int]
-    recipe: str
-
-    def __post_init__(self):
-        if tuple(sorted(set(self.bits) | {0, 1})) != (0, 1) or len(self.bits) != 3:
-            raise ValueError(f"bits must be three 0/1 values, got {self.bits}")
 
 
 def _point_labels(n: int) -> tuple[str, ...]:
@@ -284,8 +253,9 @@ def generate_type(
     depth: int,
     seed: int = 0,
     thresholds: Thresholds | None = None,
-) -> tuple[FiniteMetricSpace, TypeTarget]:
-    """Emit a space that measures to the target type, or fail honestly.
+) -> tuple[FiniteMetricSpace, str]:
+    """Emit a space that measures to the target type, with the name of
+    its recipe, or fail honestly.
 
     The recipe output is shuffled by a seeded permutation (labels keep
     their canonical order, so the seed permutes structure only), then
@@ -307,4 +277,4 @@ def generate_type(
         raise GenerationFailed(
             f"recipe {recipe} measured {measured.bits}, wanted {bits} at depth {depth}"
         )
-    return space, TypeTarget(bits, recipe)
+    return space, recipe

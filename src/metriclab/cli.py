@@ -113,6 +113,8 @@ def _cmd_amalgamate(args) -> int:
 
 
 def _cmd_approximate(args) -> int:
+    if args.rangeset and args.property != "ud":
+        raise ValueError(f"--rangeset applies to --property ud only, not {args.property}")
     space = _load_space(args.file)
     eps = args.epsilon * space.diameter if args.fraction else args.epsilon
     if args.property == "doubling":
@@ -153,11 +155,11 @@ def _cmd_cantor_gen(args) -> int:
         payload = {"space": space_to_json(space)}
     else:
         bits = tuple(int(c) for c in args.type)
-        space, target = generate_type(bits, args.depth, seed=args.seed)
+        space, recipe = generate_type(bits, args.depth, seed=args.seed)
         payload = {
             "space": space_to_json(space),
-            "type": "".join(str(b) for b in target.bits),
-            "recipe": target.recipe,
+            "type": "".join(str(b) for b in bits),
+            "recipe": recipe,
         }
     _emit(payload, args.out)
     return 0
@@ -189,7 +191,7 @@ def _cmd_experiment(args) -> int:
         obj.update((key, value) for key, value in flags.items() if value is not None)
     config = ExperimentConfig.from_json(obj)
     report = run_experiment(config)
-    _emit(None, config.out, rendered=render_report(report, config.fmt))
+    _emit(None, config.out, rendered=render_report(report, config.format))
     return 0 if report["summary"]["all_pass"] else 1
 
 

@@ -92,10 +92,6 @@ class SequenceTooShort(MetricLabError):
     """A shrinking sequence has fewer values than the requested depth."""
 
 
-class ShiftTooLarge(MetricLabError):
-    """Shift offset meets or exceeds the sequence length."""
-
-
 class WindowMiss(MetricLabError):
     """An exponential window failed to intersect the range set."""
 
@@ -110,7 +106,3 @@ class GenerationFailed(MetricLabError):
 
 class TooFewPoints(MetricLabError):
     """A construction needs more points than the input provides."""
-
-
-class LengthMismatch(MetricLabError):
-    """Binary strings of different lengths were compared."""

@@ -75,10 +75,6 @@ from .spaces import (
 _RECORD_BUDGET = 400
 
 
-def _json_key(name: str) -> str:
-    return "format" if name == "fmt" else name
-
-
 def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
@@ -93,7 +89,7 @@ class ExperimentConfig:
     trials: int = 1
     seed: int = 0
     thresholds: Thresholds = DEFAULT_THRESHOLDS
-    fmt: str = "json"
+    format: str = "json"
     out: str | None = None
 
     def __post_init__(self):
@@ -114,7 +110,7 @@ class ExperimentConfig:
             raise ValueError("epsilon must be positive")
         if self.epsilon_mode not in ("fraction", "absolute"):
             raise ValueError("epsilon_mode must be 'fraction' or 'absolute'")
-        if self.fmt not in ("json", "csv"):
+        if self.format not in ("json", "csv"):
             raise ValueError("format must be 'json' or 'csv'")
         _, size, default, least = _KINDS[self.experiment]
         value = default if getattr(self, size) is None else getattr(self, size)
@@ -123,7 +119,7 @@ class ExperimentConfig:
         object.__setattr__(self, size, value)
 
     def to_json(self) -> dict:
-        obj = {_json_key(f.name): getattr(self, f.name) for f in fields(self)}
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
         obj["thresholds"] = self.thresholds.to_json()
         return obj
 
@@ -132,11 +128,8 @@ class ExperimentConfig:
         """Read the config's fields from `obj`; absent ones keep their
         defaults, and `experiment` is required."""
         try:
-            args = {
-                f.name: obj[_json_key(f.name)]
-                for f in fields(cls)
-                if f.default is MISSING or _json_key(f.name) in obj
-            }
+            names = [f.name for f in fields(cls) if f.default is MISSING or f.name in obj]
+            args = {name: obj[name] for name in names}
             if "thresholds" in args:
                 args["thresholds"] = Thresholds.from_json(args["thresholds"])
             return cls(**args)
@@ -505,7 +498,7 @@ def run_type_grid(config: ExperimentConfig) -> list[dict]:
             standalone, recipe = generate_type(
                 target, depth, seed=int(rng.integers(1 << 32)), thresholds=config.thresholds
             )
-            row["recipe"] = recipe.recipe
+            row["recipe"] = recipe
             row["standalone"] = row["target"]  # generate_type re-measured it
 
             host = grid_host(n, rng)

@@ -20,7 +20,7 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .errors import ShiftTooLarge, WindowMiss
+from .errors import WindowMiss
 
 EXPLICIT = "explicit"
 GEOMETRIC = "geometric"
@@ -199,19 +199,6 @@ def realized_envelope(values, a: float) -> tuple[float, float]:
         band = a**k
         big_m = max(big_m, v / band, band / v)
     return (a, big_m)
-
-
-def shift(s: ShrinkingSequence, m: int) -> ShrinkingSequence:
-    """Drop the first m values; the envelope keeps a and retightens M."""
-    if not 0 <= m < len(s.values):
-        raise ShiftTooLarge(
-            f"shift {m} must be < sequence length {len(s.values)}"
-        )
-    values = s.values[m:]
-    envelope = None
-    if s.envelope is not None:
-        envelope = realized_envelope(values, s.envelope[0])
-    return ShrinkingSequence(values, envelope)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,14 @@ from scipy.cluster.hierarchy import cophenet, linkage
 from scipy.spatial.distance import squareform
 
 from .errors import (
+    AsymmetricMatrix,
     LabelMismatch,
+    NonpositiveOffDiagonal,
+    NonzeroDiagonal,
     NotUltrametric,
     SeparationUndefined,
-    ValidationError,
+    StrongTriangleViolation,
+    TriangleViolation,
     ValueOutsideRangeSet,
     ZeroOffDiagonal,
 )
@@ -83,45 +87,6 @@ class FiniteMetricSpace:
         off = ~np.eye(self.n, dtype=bool)
         return float(self.matrix[off].min())
 
-    def restrict(self, indices) -> "FiniteMetricSpace":
-        """Sub-space on the given indices (distances copied bit-exactly)."""
-        idx = list(indices)
-        sub = self.matrix[np.ix_(idx, idx)]
-        labels = tuple(self.labels[i] for i in idx)
-        return FiniteMetricSpace(labels, sub, self.flavor)
-
-    def scaled(self, factor: float) -> "FiniteMetricSpace":
-        """The same space with every distance multiplied by factor > 0."""
-        if not factor > 0:
-            raise ValueError("scale factor must be positive")
-        return FiniteMetricSpace(self.labels, self.matrix * factor, self.flavor)
-
-
-class SubsetStats:
-    """Diameter / separation / cardinality of a point subset."""
-
-    __slots__ = ("cardinality", "diameter", "_separation")
-
-    def __init__(self, cardinality: int, diameter: float, separation=None):
-        self.cardinality = int(cardinality)
-        self.diameter = float(diameter)
-        self._separation = None if separation is None else float(separation)
-
-    @property
-    def separation(self) -> float:
-        if self._separation is None:
-            raise SeparationUndefined(
-                "separation is defined only for subsets with >= 2 points"
-            )
-        return self._separation
-
-    def __repr__(self):
-        sep = "undefined" if self._separation is None else repr(self._separation)
-        return (
-            f"SubsetStats(cardinality={self.cardinality}, "
-            f"diameter={self.diameter!r}, separation={sep})"
-        )
-
 
 @dataclass(frozen=True)
 class MetricDistance:
@@ -135,20 +100,6 @@ class MetricDistance:
             raise ValueError(f"unknown distance kind {self.kind!r}")
         if not (self.value >= 0):
             raise ValueError("distance value must be nonnegative")
-
-
-@dataclass(frozen=True)
-class Violation:
-    """Diagnosis of the first violated axiom of a candidate matrix."""
-
-    axiom: str
-    indices: tuple[int, ...]
-    message: str
-
-    _ERRORS = {error.axiom: error for error in ValidationError.__subclasses__()}
-
-    def to_error(self) -> ValidationError:
-        return self._ERRORS[self.axiom](self.message, self.indices)
 
 
 def _subdominant_ultrametric(matrix: np.ndarray) -> np.ndarray:
@@ -216,7 +167,7 @@ def _first_triangle_violation(matrix: np.ndarray, slack: float, strong: bool):
 def _entry_violation(labels, m: np.ndarray):
     """Shape and finiteness (ValueError), then the entry-level axioms in
     order: zero diagonal (exact), symmetry (exact), positivity (strict).
-    Returns the first :class:`Violation`, or None."""
+    Returns the typed error of the first violated one, or None."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if m.shape[0] != len(tuple(labels)):
@@ -226,28 +177,26 @@ def _entry_violation(labels, m: np.ndarray):
     diag = np.diagonal(m)
     if (diag != 0).any():
         i = int(np.nonzero(diag != 0)[0][0])
-        return Violation(
-            "zero_diagonal", (i, i), f"diagonal entry ({i},{i}) = {float(m[i, i])!r} != 0"
-        )
+        return NonzeroDiagonal(f"diagonal entry ({i},{i}) = {float(m[i, i])!r} != 0", (i, i))
     asym = m != m.T
     if asym.any():
         i, j = (int(v) for v in np.argwhere(asym)[0])
-        return Violation(
-            "symmetry",
-            (i, j),
+        return AsymmetricMatrix(
             f"entry ({i},{j}) = {float(m[i, j])!r} differs from ({j},{i}) = {float(m[j, i])!r}",
+            (i, j),
         )
     nonpos = ~np.eye(m.shape[0], dtype=bool) & (m <= 0)
     if nonpos.any():
         i, j = (int(v) for v in np.argwhere(nonpos)[0])
-        return Violation(
-            "positivity", (i, j), f"off-diagonal entry ({i},{j}) = {float(m[i, j])!r} <= 0"
+        return NonpositiveOffDiagonal(
+            f"off-diagonal entry ({i},{j}) = {float(m[i, j])!r} <= 0", (i, j)
         )
     return None
 
 
 def diagnose(labels, matrix, flavor: str = METRIC, tol: float = DEFAULT_TOL):
-    """Check the axioms in order; return a :class:`Violation` or None.
+    """Check the axioms in order; return the typed error of the first
+    violated one (its `axiom`, message and witness `indices`), or None.
 
     Order: zero diagonal (exact), symmetry (exact), positivity (strict),
     triangle inequality within tol * max-entry, and additionally the
@@ -266,9 +215,9 @@ def diagnose(labels, matrix, flavor: str = METRIC, tol: float = DEFAULT_TOL):
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     m = np.asarray(matrix, dtype=float)
-    violation = _entry_violation(labels, m)
-    if violation is not None:
-        return violation
+    error = _entry_violation(labels, m)
+    if error is not None:
+        return error
     n = m.shape[0]
     if flavor == ULTRAMETRIC and np.array_equal(m, _subdominant_ultrametric(m)):
         return None
@@ -276,21 +225,19 @@ def diagnose(labels, matrix, flavor: str = METRIC, tol: float = DEFAULT_TOL):
     hit = _first_triangle_violation(m, slack, strong=False)
     if hit is not None:
         i, j, k = hit
-        return Violation(
-            "triangle",
-            (i, j, k),
+        return TriangleViolation(
             f"d({i},{j}) = {float(m[i, j])!r} > d({i},{k}) + d({k},{j}) = "
             f"{float(m[i, k] + m[k, j])!r} (slack {float(slack)!r})",
+            (i, j, k),
         )
     if flavor == ULTRAMETRIC:
         hit = _first_triangle_violation(m, slack, strong=True)
         if hit is not None:
             i, j, k = hit
-            return Violation(
-                "strong_triangle",
-                (i, j, k),
+            return StrongTriangleViolation(
                 f"d({i},{j}) = {float(m[i, j])!r} > max(d({i},{k}), d({k},{j})) = "
                 f"{float(max(m[i, k], m[k, j]))!r} (slack {float(slack)!r})",
+                (i, j, k),
             )
     return None
 
@@ -301,24 +248,10 @@ def validate(labels, matrix, flavor: str = METRIC, tol: float = DEFAULT_TOL) -> 
     Raises the typed error for the first violated axiom; the error's
     `indices` attribute names the witnessing entries / triple.
     """
-    violation = diagnose(labels, matrix, flavor=flavor, tol=tol)
-    if violation is not None:
-        raise violation.to_error()
+    error = diagnose(labels, matrix, flavor=flavor, tol=tol)
+    if error is not None:
+        raise error
     return FiniteMetricSpace(tuple(labels), matrix, flavor)
-
-
-def subset_stats(space: FiniteMetricSpace, indices) -> SubsetStats:
-    """Cardinality, diameter, and separation of a subset of points."""
-    idx = np.unique(np.asarray(list(indices), dtype=int))
-    if idx.size == 0:
-        raise ValueError("subset must be nonempty")
-    if idx.min() < 0 or idx.max() >= space.n:
-        raise ValueError("subset indices out of range")
-    if idx.size == 1:
-        return SubsetStats(1, 0.0, None)
-    sub = space.matrix[np.ix_(idx, idx)]
-    off = ~np.eye(idx.size, dtype=bool)
-    return SubsetStats(idx.size, float(sub.max()), float(sub[off].min()))
 
 
 def _require_shared_labels(d: FiniteMetricSpace, e: FiniteMetricSpace):
@@ -378,16 +311,16 @@ def metric_closure(labels, raw) -> FiniteMetricSpace:
     ZeroOffDiagonal (it would merge points) ahead of a negative one.
     """
     m = np.array(raw, dtype=float)
-    violation = _entry_violation(labels, m)
-    if violation is not None and violation.axiom == "positivity":
+    error = _entry_violation(labels, m)
+    if isinstance(error, NonpositiveOffDiagonal):
         zero = np.argwhere(~np.eye(len(m), dtype=bool) & (m == 0))
         if zero.size:
             i, j = (int(v) for v in zero[0])
             raise ZeroOffDiagonal(
                 f"off-diagonal entry ({i},{j}) = {float(m[i, j])!r} would merge points"
             )
-    if violation is not None:
-        raise violation.to_error()
+    if error is not None:
+        raise error
     for k in range(len(m)):
         np.minimum(m, m[:, k : k + 1] + m[k : k + 1, :], out=m)
     return validate(labels, m, flavor=METRIC)

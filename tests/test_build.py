@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
+from metriclab import build
 from metriclab import (
     ClopenPartition,
     Embedding,
@@ -24,10 +25,8 @@ from metriclab import (
     contains,
     default_metric_piece,
     diagnose,
-    extend_metric,
     geometric_range_set,
     greedy_net,
-    kuratowski_embed,
     mcshane_extend,
     merge_singletons,
     metric_closure,
@@ -95,16 +94,6 @@ def test_embedding_basics_and_guards():
         Embedding(np.zeros(3))
     with pytest.raises(ValueError):
         Embedding(np.array([[np.inf, 0.0]]))
-
-
-def test_embedding_json_round_trip():
-    emb = Embedding(np.array([[0.0, 1.0, 2.0], [0.5, 0.25, 0.125]]))
-    back = Embedding.from_json(emb.to_json())
-    assert np.array_equal(back.coordinates, emb.coordinates)
-    with pytest.raises(ValueError):
-        Embedding.from_json({"coordinates": [[0.0, 1.0]], "dimension": 3})
-    with pytest.raises(ValueError):
-        Embedding.from_json({"dimension": 2})
 
 
 def test_pairwise_linf_matches_loop_oracle():
@@ -241,13 +230,13 @@ def test_mcshane_matches_loop_oracle_off_subset():
     subset = [7, 2, 9, 0]
     values = np.array([1.0, 1.4, 0.8, 1.1])
     lip = 2.0
-    got = mcshane_extend(space, subset, values, lip)
+    got, _, _ = mcshane_extend(space, subset, values[:, None], lip)
     expected = orc.mcshane_by_loops(space.matrix, subset, values, lip)
     for x in range(space.n):
         if x in subset:
-            assert got[x] == values[subset.index(x)]
+            assert got[x, 0] == values[subset.index(x)]
         else:
-            assert got[x] == expected[x]
+            assert got[x, 0] == expected[x]
 
 
 def test_mcshane_subset_order_is_irrelevant():
@@ -256,11 +245,13 @@ def test_mcshane_subset_order_is_irrelevant():
     shuffled = [6, 1, 8, 3]
     values = np.array([0.5, 0.9, 0.7, 0.6])
     order = np.argsort(shuffled)
-    direct = mcshane_extend(space, shuffled, values, 1.5)
+    direct = mcshane_extend(space, shuffled, values[:, None], 1.5)
     canonical = mcshane_extend(
-        space, [shuffled[k] for k in order], values[order], 1.5
+        space, [shuffled[k] for k in order], values[order, None], 1.5
     )
-    assert np.array_equal(direct, canonical)
+    assert np.array_equal(direct[0], canonical[0])
+    assert direct[1] == canonical[1] == sorted(shuffled)
+    assert np.array_equal(direct[2], canonical[2])
 
 
 def test_mcshane_output_is_lipschitz():
@@ -268,11 +259,14 @@ def test_mcshane_output_is_lipschitz():
     space = random_space("points_linf", 14, rng)
     subset = [0, 5, 9]
     values = space.matrix[np.ix_(subset, subset)]  # rows are 1-Lipschitz
-    got = mcshane_extend(space, subset, values, 1.0)
+    got, ordered, subset_spread = mcshane_extend(space, subset, values, 1.0)
     spread = np.abs(got[:, None, :] - got[None, :, :]).max(axis=2)
     slack = 1e-12 * space.diameter
     assert (spread <= space.matrix + slack).all()
     assert np.array_equal(got[subset], values)
+    # the returned block is the subset's own max-norm matrix
+    assert ordered == subset
+    assert np.array_equal(subset_spread, spread[np.ix_(subset, subset)])
 
 
 def test_mcshane_vector_equals_per_column_scalars():
@@ -280,10 +274,10 @@ def test_mcshane_vector_equals_per_column_scalars():
     space = random_space("closure", 9, rng)
     subset = [1, 4, 7]
     values = rng.uniform(0.0, 1.0, size=(3, 2)) * 0.1
-    vector = mcshane_extend(space, subset, values, 1.0)
+    vector, _, _ = mcshane_extend(space, subset, values, 1.0)
     for col in range(2):
-        scalar = mcshane_extend(space, subset, values[:, col], 1.0)
-        assert np.array_equal(vector[:, col], scalar)
+        scalar, _, _ = mcshane_extend(space, subset, values[:, col : col + 1], 1.0)
+        assert np.array_equal(vector[:, col], scalar[:, 0])
 
 
 def _integer_linf_space(n, seed):
@@ -307,7 +301,7 @@ def test_mcshane_memory_stays_flat_and_matches_oracle():
         values = space.matrix[np.ix_(subset, landmarks)]
         tracemalloc.start()
         try:
-            got = mcshane_extend(space, subset, values, 1.0)
+            got, _, _ = mcshane_extend(space, subset, values, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -337,47 +331,18 @@ def test_mcshane_names_the_first_bad_pair_past_the_first_block():
 def test_mcshane_guards():
     rng = trial_rng(57, 0)
     space = random_space("closure", 8, rng)
-    with pytest.raises(ValueError):
-        mcshane_extend(space, [], np.array([]), 1.0)
-    with pytest.raises(ValueError):
-        mcshane_extend(space, [1, 1], np.array([0.0, 0.0]), 1.0)
-    with pytest.raises(ValueError):
-        mcshane_extend(space, [0, 1], np.array([0.0]), 1.0)
-    with pytest.raises(ValueError):
-        mcshane_extend(space, [0, 1], np.array([0.0, 0.0]), -1.0)
+    with pytest.raises(ValueError, match="subset must be nonempty"):
+        mcshane_extend(space, [], np.zeros((0, 1)), 1.0)
+    with pytest.raises(ValueError, match="distinct"):
+        mcshane_extend(space, [1, 1], np.zeros((2, 1)), 1.0)
+    with pytest.raises(ValueError, match=r"\(2, components\) array, got shape \(1, 1\)"):
+        mcshane_extend(space, [0, 1], np.zeros((1, 1)), 1.0)
+    with pytest.raises(ValueError, match=r"got shape \(2,\)"):
+        mcshane_extend(space, [0, 1], np.zeros(2), 1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        mcshane_extend(space, [0, 1], np.zeros((2, 1)), -1.0)
     with pytest.raises(NotLipschitzOnSubset):
-        mcshane_extend(space, [0, 1], np.array([0.0, 100.0]), 0.5)
-
-
-# ---------------------------------------------------------------------------
-# Kuratowski-style embedding and metric extension
-
-
-def test_kuratowski_is_isometric_on_landmarks():
-    rng = trial_rng(58, 0)
-    space = random_space("closure", 12, rng)
-    landmarks = [2, 5, 8, 11]
-    emb = kuratowski_embed(space, landmarks)
-    assert emb.dimension == len(landmarks)
-    linf = emb.pairwise_linf()
-    block = np.ix_(landmarks, landmarks)
-    assert np.array_equal(linf[block], space.matrix[block])
-    # 1-Lipschitz everywhere, up to float rounding of the differences
-    assert (linf <= space.matrix + 1e-12 * space.diameter).all()
-    with pytest.raises(ValueError):
-        kuratowski_embed(space, [])
-
-
-def test_extend_metric_restricts_bit_exactly():
-    rng = trial_rng(59, 0)
-    ambient = random_space("closure", 10, rng)
-    subset = (1, 4, 6)
-    inner_matrix = ambient.matrix[np.ix_(subset, subset)] * 0.5
-    inner = validate(tuple(ambient.labels[i] for i in subset), inner_matrix)
-    out = extend_metric(ambient, subset, inner)
-    assert out.labels == ambient.labels
-    assert np.array_equal(out.matrix[np.ix_(subset, subset)], inner.matrix)
-    assert diagnose(out.labels, out.matrix) is None
+        mcshane_extend(space, [0, 1], np.array([[0.0], [100.0]]), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +464,23 @@ def test_approximate_doubling_matches_the_two_pass_oracle():
                 matrix, coords = orc.doubling_embedding_by_two_passes(host.matrix, eps)
                 assert out.matrix.tobytes() == matrix.tobytes()
                 assert emb.coordinates.tobytes() == coords.tobytes()
+
+
+def test_approximate_doubling_extends_the_net_through_mcshane_extend(monkeypatch):
+    # the pipeline reaches the extension through the module attribute, so
+    # a wrapper bound there (a spy, or a tracer) sees every call
+    calls = []
+    extend = build.mcshane_extend
+
+    def spy(space, subset, values, lip):
+        calls.append((list(subset), lip))
+        return extend(space, subset, values, lip)
+
+    monkeypatch.setattr(build, "mcshane_extend", spy)
+    host = random_space("points_linf", 24, trial_rng(66, 0))
+    eps = host.diameter / 4
+    approximate_doubling(host, eps)
+    assert calls == [(greedy_net(host, eps), 1.0)]
 
 
 def test_approximate_ud_metric_path():

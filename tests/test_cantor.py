@@ -10,26 +10,21 @@ import oracles as orc
 from metriclab import (
     BinaryPointSet,
     GenerationFailed,
-    LengthMismatch,
     MetricLabError,
     SequenceTooShort,
     ShrinkingSequence,
-    TypeTarget,
     build,
     cantor,
     cantor_prefix_metric,
-    cantor_values,
     default_metric_piece,
     diagnose,
     double_exponential_range_set,
-    euclidean_cantor_metric,
     explicit_range_set,
     generate_type,
     geometric_prefix_ultrametric,
     geometric_range_set,
     lab,
     sequential_metric,
-    valuation,
 )
 from metriclab.cantor import MAX_DEPTH, _valuation_matrix, cantor_numerators
 
@@ -57,13 +52,18 @@ def test_binary_point_set_depth_guards():
 
 
 def test_valuation_matches_scan_oracle():
-    labels = BinaryPointSet(4).labels
-    for x in labels:
-        for y in labels:
-            assert valuation(x, y) == orc.valuation_by_scan(x, y)
-    assert valuation("0101", "0101") == math.inf
-    with pytest.raises(LengthMismatch):
-        valuation("01", "011")
+    # off the diagonal the table is the first differing index; on it the
+    # stand-in `depth` replaces the infinite index of equal strings
+    for depth in (1, 3, 5):
+        labels = BinaryPointSet(depth).labels
+        table = _valuation_matrix(depth)
+        for i, x in enumerate(labels):
+            for j, y in enumerate(labels):
+                v = orc.valuation_by_scan(x, y)
+                if i == j:
+                    assert math.isinf(v) and table[i, j] == depth
+                else:
+                    assert table[i, j] == v
 
 
 def test_valuation_matrix_equals_pairwise_valuations():
@@ -72,13 +72,13 @@ def test_valuation_matrix_equals_pairwise_valuations():
     table = _valuation_matrix(depth)
     for i, x in enumerate(labels):
         for j, y in enumerate(labels):
-            v = valuation(x, y)
+            v = orc.valuation_by_scan(x, y)
             expected = depth if math.isinf(v) else int(v)
             assert table[i, j] == expected
 
 
 # ---------------------------------------------------------------------------
-# sequential (valuation-table) metrics
+# sequential (rung-table) metrics
 
 
 def test_sequential_metric_is_a_table_lookup():
@@ -87,7 +87,7 @@ def test_sequential_metric_is_a_table_lookup():
     assert space.flavor == "ultrametric"
     for i, x in enumerate(space.labels):
         for j, y in enumerate(space.labels):
-            v = valuation(x, y)
+            v = orc.valuation_by_scan(x, y)
             expected = 0.0 if math.isinf(v) else s[int(v)]
             assert space.matrix[i, j] == expected
     assert diagnose(space.labels, space.matrix, flavor="ultrametric", tol=0.0) is None
@@ -109,23 +109,25 @@ def test_cantor_numerators_match_horner_oracle():
         assert nums.dtype == np.int64
         for k, label in enumerate(BinaryPointSet(depth).labels):
             assert nums[k] == orc.cantor_numerator_by_horner(label)
-        assert np.array_equal(cantor_values(depth), nums.astype(float) / 3.0**depth)
 
 
 def test_euclidean_cantor_metric_formula():
     depth, scale = 5, 0.75
-    space = euclidean_cantor_metric(depth, scale=scale)
+    space = cantor_prefix_metric(1 << depth, scale, depth)
     nums = cantor_numerators(depth)
     gaps = np.abs(nums[:, None] - nums[None, :]).astype(float)
     assert np.array_equal(space.matrix, (scale / 3.0**depth) * gaps)
     assert space.flavor == "metric"
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            cantor_prefix_metric(8, scale=bad, depth=3)
     with pytest.raises(ValueError):
-        euclidean_cantor_metric(3, scale=0.0)
+        cantor_prefix_metric(1, scale=0.0)
 
 
 def test_sibling_gaps_land_on_one_float():
     for depth in (3, 5, 7):
-        space = euclidean_cantor_metric(depth, scale=1.0)
+        space = cantor_prefix_metric(1 << depth, 1.0, depth)
         sibling_gaps = {
             float(space.matrix[2 * k, 2 * k + 1]) for k in range(space.n // 2)
         }
@@ -136,7 +138,7 @@ def test_sibling_gaps_land_on_one_float():
 
 def test_prefix_metric_restricts_the_full_metric():
     depth, scale = 4, 2.0
-    full = euclidean_cantor_metric(depth, scale=scale)
+    full = cantor_prefix_metric(1 << depth, scale, depth)
     for count in (1, 3, 5, 16):
         prefix = cantor_prefix_metric(count, scale=scale, depth=depth)
         assert prefix.labels == full.labels[:count]
@@ -184,6 +186,14 @@ PREFIX_COUNTS = tuple(range(1, 70)) + (127, 128, 129, 256, 257)
 BINARY_STRING_DIGEST = "4dc309b8daf3bc79c8a68573cde8a21ef868838d12cc182cb3f6077d2f45b354"
 
 
+def _all_strings_metric(depth, scale):
+    """The middle-third metric on all 2**depth strings, behind a
+    positive-scale guard; the digest covers its outputs and error texts."""
+    if not scale > 0:
+        raise ValueError("scale must be positive")
+    return cantor_prefix_metric(BinaryPointSet(depth).count, scale, depth)
+
+
 def _binary_string_outputs():
     range_sets = (
         geometric_range_set(0.5),
@@ -200,11 +210,11 @@ def _binary_string_outputs():
         for S in range_sets:
             yield build._s_valued_piece, (labels, 0.3, S)
     for depth in range(-1, 9):
-        yield euclidean_cantor_metric, (depth, 3.0)
+        yield _all_strings_metric, (depth, 3.0)
         yield sequential_metric, (ShrinkingSequence((1.0, 0.5, 0.3, 0.2, 0.1)), depth)
     for bad in ((0,), (5, 1.0, 2), (5, 1.0, 13)):
         yield cantor_prefix_metric, bad
-    yield euclidean_cantor_metric, (3, 0.0)
+    yield _all_strings_metric, (3, 0.0)
     yield geometric_prefix_ultrametric, (0, 1.0)
     yield geometric_prefix_ultrametric, (4, 0.0)
     yield build._s_valued_piece, (("a",), 1e-9, range_sets[1])
@@ -268,9 +278,8 @@ RECIPES = {
 
 def test_all_eight_types_generate_at_their_minimum_depth():
     for bits, depth in MIN_DEPTH.items():
-        space, target = generate_type(bits, depth)
-        assert target.bits == bits
-        assert target.recipe == RECIPES[bits]
+        space, recipe = generate_type(bits, depth)
+        assert recipe == RECIPES[bits]
         assert space.n == 1 << depth
 
 
@@ -302,10 +311,3 @@ def test_generate_type_seed_permutes_structure_deterministically():
     assert sorted(first.matrix.ravel().tolist()) == sorted(
         other.matrix.ravel().tolist()
     )
-
-
-def test_type_target_guards():
-    with pytest.raises(ValueError):
-        TypeTarget((1, 2, 1), "x")
-    with pytest.raises(ValueError):
-        TypeTarget((1, 1), "x")

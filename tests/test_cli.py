@@ -210,7 +210,8 @@ def test_approximate_doubling_payload(tmp_path, capsys):
     assert eps == 0.125 * space.diameter
     out = space_from_json(payload["space"])
     assert sup_distance(out, space).value <= 4 * eps
-    embedding = Embedding.from_json(payload["embedding"])
+    embedding = Embedding(payload["embedding"]["coordinates"])
+    assert embedding.dimension == payload["embedding"]["dimension"]
     assert embedding.count == space.n
     assert np.array_equal(embedding.pairwise_linf(), out.matrix)
 
@@ -235,6 +236,21 @@ def test_approximate_ud_with_rangeset(tmp_path, capsys):
     assert payload["delta_star"] == 1.0
     out = space_from_json(payload["space"])
     assert out.flavor == "ultrametric"
+
+
+@pytest.mark.parametrize("prop", ["doubling", "up"])
+def test_approximate_rejects_a_rangeset_outside_ud(tmp_path, capsys, prop):
+    # only the ud pipeline takes S; the others would ignore the file
+    S_path = _write(tmp_path, "S.json", GEOMETRIC_S)
+    space = random_space("points_linf", 12, trial_rng(82, 0))
+    path = _write(tmp_path, "space.json", space_to_json(space))
+    argv = ["approximate", path, "--property", prop, "--epsilon", "0.125", "--fraction"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--rangeset", S_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --rangeset applies to --property ud only, not {prop}\n"
 
 
 def test_approximate_up_payload(tmp_path, capsys):

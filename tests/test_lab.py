@@ -58,7 +58,7 @@ def test_config_guards():
     with pytest.raises(ValueError):
         ExperimentConfig("dense_ud", epsilon_mode="relative")
     with pytest.raises(ValueError):
-        ExperimentConfig("dense_ud", fmt="yaml")
+        ExperimentConfig("dense_ud", format="yaml")
     with pytest.raises(ValueError):
         ExperimentConfig("type_grid", depth=5)
     with pytest.raises(ValueError):
@@ -81,7 +81,7 @@ def test_config_json_round_trip():
         trials=3,
         seed=11,
         thresholds=Thresholds(c_min=0.1),
-        fmt="csv",
+        format="csv",
         out="report.csv",
     )
     back = ExperimentConfig.from_json(config.to_json())
@@ -161,7 +161,7 @@ def test_matrix_digest_is_stable_and_short():
     digest = matrix_digest(space)
     assert len(digest) == 16
     assert digest == matrix_digest(space)
-    assert digest != matrix_digest(space.scaled(2.0))
+    assert digest != matrix_digest(validate(space.labels, space.matrix * 2.0))
     int(digest, 16)  # hex
 
 

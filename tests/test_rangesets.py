@@ -8,7 +8,6 @@ import pytest
 import oracles as orc
 from metriclab import (
     RangeSet,
-    ShiftTooLarge,
     ShrinkingSequence,
     WindowMiss,
     contains,
@@ -25,7 +24,6 @@ from metriclab import (
     realized_envelope,
     sequence_from_json,
     sequence_to_json,
-    shift,
     up_obstruction,
 )
 
@@ -228,18 +226,6 @@ def test_realized_envelope_recomputation():
     assert got == (a, expected)
     # the realized constant always re-verifies
     ShrinkingSequence(values, envelope=got)
-
-
-def test_shift_drops_prefix_and_retightens():
-    s = ShrinkingSequence((1.0, 0.4, 0.2, 0.09), envelope=(0.5, 1.5))
-    t = shift(s, 2)
-    assert t.values == (0.2, 0.09)
-    assert t.envelope == realized_envelope((0.2, 0.09), 0.5)
-    assert shift(s, 0).values == s.values
-    with pytest.raises(ShiftTooLarge):
-        shift(s, 4)
-    with pytest.raises(ShiftTooLarge):
-        shift(s, -1)
 
 
 # ---------------------------------------------------------------------------

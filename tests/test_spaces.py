@@ -27,7 +27,6 @@ from metriclab import (
     random_space,
     space_from_json,
     space_to_json,
-    subset_stats,
     sup_distance,
     trial_rng,
     ultra_distance,
@@ -71,24 +70,6 @@ def test_space_shape_guards():
         FiniteMetricSpace((), np.zeros((0, 0)))
     with pytest.raises(ValueError):
         FiniteMetricSpace(("a",), np.zeros((1, 1)), flavor="fuzzy")
-
-
-def test_restrict_is_bit_exact():
-    rng = trial_rng(10, 0)
-    space = random_space("closure", 9, rng)
-    sub = space.restrict([7, 1, 4])
-    assert sub.labels == (space.labels[7], space.labels[1], space.labels[4])
-    expected = space.matrix[np.ix_([7, 1, 4], [7, 1, 4])]
-    assert np.array_equal(sub.matrix, expected)
-    assert sub.flavor == space.flavor
-
-
-def test_scaled():
-    space = validate(_labels(2), np.array([[0.0, 3.0], [3.0, 0.0]]))
-    doubled = space.scaled(2.0)
-    assert np.array_equal(doubled.matrix, space.matrix * 2.0)
-    with pytest.raises(ValueError):
-        space.scaled(0.0)
 
 
 def test_separation_needs_two_points():
@@ -514,31 +495,7 @@ def test_closure_names_a_zero_entry_before_an_earlier_negative_one():
 
 
 # ---------------------------------------------------------------------------
-# subset statistics and JSON forms
-
-
-def test_subset_stats_against_hand_counts():
-    matrix = np.array(
-        [
-            [0.0, 1.0, 3.0, 2.0],
-            [1.0, 0.0, 3.0, 2.5],
-            [3.0, 3.0, 0.0, 1.5],
-            [2.0, 2.5, 1.5, 0.0],
-        ]
-    )
-    space = validate(_labels(4), matrix)
-    stats = subset_stats(space, [0, 2, 3])
-    assert stats.cardinality == 3
-    assert stats.diameter == 3.0
-    assert stats.separation == 1.5
-    lone = subset_stats(space, [2])
-    assert lone.cardinality == 1 and lone.diameter == 0.0
-    with pytest.raises(SeparationUndefined):
-        _ = lone.separation
-    with pytest.raises(ValueError):
-        subset_stats(space, [])
-    with pytest.raises(ValueError):
-        subset_stats(space, [0, 9])
+# JSON forms
 
 
 def test_space_json_round_trip_is_bit_exact():
