@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .cantor import _ladder_space, _string_depth, cantor_prefix_metric, geometric_prefix_ultrametric
 from .errors import (
@@ -125,26 +126,21 @@ class Embedding:
         return {"dimension": self.dimension, "coordinates": self.coordinates.tolist()}
 
 
-# Elements (8 MiB of floats) in one row block's temporary in the
-# row-blocked kernels below.
+# Elements (8 MiB of floats) in one row block's temporary in
+# mcshane_extend's extension.
 _BLOCK_ELEMENTS = 1 << 20
 
 
 def pairwise_linf(coords: np.ndarray) -> np.ndarray:
-    """Max-norm distance matrix of row vectors (row blocks keep memory flat)."""
+    """Max-norm distance matrix of finite row vectors.
+
+    scipy's Chebyshev kernel uses subtraction, fabs and max only, so
+    every entry is the bit-exact max over axes of |x_a - y_a|.
+    """
     coords = np.asarray(coords, dtype=float)
-    return _linf_block(coords, coords)
-
-
-def _linf_block(rows: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Max-norm distances from each of `rows` to each of `coords`."""
-    out = np.empty((rows.shape[0], coords.shape[0]))
-    step = _rows_per_block(coords.size, _BLOCK_ELEMENTS)
-    for start in range(0, rows.shape[0], step):
-        block = slice(start, start + step)
-        diff = rows[block, None, :] - coords[None, :, :]
-        out[block] = np.abs(diff, out=diff).max(axis=2)
-    return out
+    if coords.shape[0] < 2:
+        return np.zeros((coords.shape[0], coords.shape[0]))
+    return squareform(pdist(coords, "chebyshev"))
 
 
 def _check_pieces(
@@ -239,11 +235,11 @@ def mcshane_extend(
 ):
     """Extend an l-Lipschitz map on a subset to the whole space.
 
-    `values` is a (k, components) array whose row a is the value at
+    `values` is a finite (k, components) array whose row a is the value at
     subset[a].  F(x) = min over a in subset of (values[a] + lip * d(x, a)),
     per component, at every x outside the subset; on the subset F is the
     input, bit-exactly.  The Lipschitz hypothesis is verified on the
-    subset first (max norm over components).  Both steps run in row
+    subset first (max norm over components).  The extension runs in row
     blocks, so beyond the (k, k) and (n, components) arrays memory holds
     one block.
 
@@ -259,6 +255,8 @@ def mcshane_extend(
     f = np.array(values, dtype=float)
     if f.ndim != 2 or f.shape[0] != len(subset):
         raise ValueError(f"values must be a ({len(subset)}, components) array, got shape {f.shape}")
+    if not np.isfinite(f).all():
+        raise ValueError("values must be finite")
     # values stay paired with their subset indices under the sort
     order = np.argsort(np.asarray(subset, dtype=np.int64), kind="stable")
     subset = [subset[k] for k in order]
@@ -378,7 +376,7 @@ def approximate_doubling(
     # the net rows themselves, so that block is spread v |aux difference|.
     rest = np.setdiff1d(np.arange(d.n), net)
     matrix = np.empty((d.n, d.n))
-    matrix[rest] = _linf_block(embedding.coordinates[rest], embedding.coordinates)
+    matrix[rest] = cdist(embedding.coordinates[rest], embedding.coordinates, "chebyshev")
     matrix[np.ix_(net, rest)] = matrix[np.ix_(rest, net)].T
     matrix[np.ix_(net, net)] = np.maximum(spread, np.abs(aux[net, None] - aux[None, net]))
     return validate(d.labels, matrix, flavor=METRIC), embedding

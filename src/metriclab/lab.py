@@ -53,6 +53,7 @@ from .jsontext import dumps
 from .moduli import (
     DEFAULT_THRESHOLDS,
     Thresholds,
+    _is_number,
     classify,
     doubling_constant,
     ud_modulus,
@@ -101,8 +102,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not _is_integer(value) and not (value is None and name in ("n", "depth")):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.epsilon, numbers.Real) or isinstance(self.epsilon, bool):
+        if not _is_number(self.epsilon):
             raise ValueError(f"epsilon must be a number, got {self.epsilon!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a file path, got {self.out!r}")
         object.__setattr__(self, "epsilon", float(self.epsilon))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")

@@ -18,6 +18,7 @@ returns the resulting bit vector.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -49,13 +50,26 @@ class Thresholds:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Thresholds":
+        """Read the thresholds from `obj`; absent ones keep their defaults,
+        and each given one must be a number (an int or a float, not a bool)."""
         try:
-            return cls(**{f.name: float(obj.get(f.name, f.default)) for f in fields(cls)})
-        except (AttributeError, TypeError) as exc:
+            values = {f.name: obj.get(f.name, f.default) for f in fields(cls)}
+        except AttributeError as exc:
             raise ValueError(f"malformed thresholds object: {exc}") from exc
+        for name, value in values.items():
+            if not _is_number(value):
+                raise ValueError(
+                    f"malformed thresholds object: {name} must be a number, got {value!r}"
+                )
+        return cls(**{name: float(value) for name, value in values.items()})
 
 
 DEFAULT_THRESHOLDS = Thresholds()
+
+
+def _is_number(value) -> bool:
+    """A real number that is not a bool (JSON true/false are not numbers)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

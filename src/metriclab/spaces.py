@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.cluster.hierarchy import cophenet, linkage
-from scipy.spatial.distance import squareform
+from scipy.spatial.distance import pdist, squareform
 
 from .errors import (
     AsymmetricMatrix,
@@ -32,7 +32,8 @@ from .errors import (
 from .rangesets import RangeSet, contains, least_geq
 
 # Relative validation tolerance: triangle slack is DEFAULT_TOL * (max entry).
-# Pass tol=0 for exact checks on rationally-constructed matrices.
+# Pass tol=0 for exact checks on rationally-constructed matrices; tol=0
+# always takes the triangle scan (the Chebyshev certificate needs slack).
 DEFAULT_TOL = 1e-9
 
 METRIC = "metric"
@@ -164,6 +165,46 @@ def _first_triangle_violation(matrix: np.ndarray, slack: float, strong: bool):
     return None
 
 
+def _triangle_certified(m: np.ndarray, slack: float) -> bool:
+    """True when the rows' Chebyshev distances prove that the triangle
+    scan with this slack flags no triple; False when the certificate
+    fails or does not apply (slack below 8 * eps * max entry, or not a
+    normal float), and the scan must decide.
+
+    The triangle inequality holds exactly when i -> d(i, .) is an
+    isometry into the max norm (Frechet), i.e. when
+    max_j |d(i, j) - d(k, j)| <= d(i, k) for every pair; pdist computes
+    the left side with subtraction, fabs and max only.  The certificate
+    is T(i, k) <= fl(d(i, k) + h), h = fl(s / 2), s = slack.
+
+    Soundness, in the model fl(x +- y) = (x +- y)(1 + delta) with
+    |delta| <= u = 2**-53 and results in the subnormal range exact
+    (so h <= s/2 + u*s).  Let M be the max entry.  The computed guard
+    gives s >= 16uM exactly: 8 * eps = 2**-49, so the product is exact
+    unless subnormal, and then the normal s exceeds it.  Pass means
+    |fl(d_ij - d_kj)| <= fl(d_ik + h) for every i, k, j (i < k from
+    pdist, i = k trivially, i > k by symmetry).  Take a triple
+    (i, j, k) with a = d_ik, b = d_kj.  The scan flags it only when
+    d_ij > fl(fl(a + b) + s).  Rounding is monotone, so nothing is
+    flagged when d_ij <= b, or when fl(a + h) overflows (the scan's
+    bound is then >= fl(a + h) = inf).  Otherwise
+    (d_ij - b)(1 - u) <= (a + h)(1 + u), so
+    d_ij <= a + b + h + 2.1u(a + h) <= a + b + s/2 + 2.1uM + 2.1us,
+    while fl(fl(a + b) + s) >= (a + b)(1 - 2u) + s(1 - u)
+    >= a + b - 4uM + s - us.  The first is <= the second whenever
+    s(1/2 - 3.1u) >= 6.1uM, which holds from s >= 13uM on (the guard
+    asks for 16uM).  So a certified matrix has no triple the scan would
+    flag, and the verdict is the scan's.
+    """
+    if not (np.finfo(float).tiny <= slack < np.inf):
+        return False
+    if slack < 8 * np.finfo(float).eps * float(m.max()):
+        return False
+    bound = squareform(m, checks=False)
+    bound += slack / 2
+    return bool((pdist(m, "chebyshev") <= bound).all())
+
+
 def _entry_violation(labels, m: np.ndarray):
     """Shape and finiteness (ValueError), then the entry-level axioms in
     order: zero diagonal (exact), symmetry (exact), positivity (strict).
@@ -202,11 +243,16 @@ def diagnose(labels, matrix, flavor: str = METRIC, tol: float = DEFAULT_TOL):
     triangle inequality within tol * max-entry, and additionally the
     strong triangle inequality for the ultrametric flavor.
 
-    For the ultrametric flavor an exact certificate runs first: a matrix
-    equal to its :func:`_subdominant_ultrametric` satisfies the strong
-    triangle inequality exactly, hence also the triangle inequality
-    (max(a, b) <= a + b for a, b >= 0), at any slack.  Only when the
-    certificate fails do the two scans run, so witnesses and tolerant
+    Two certificates stand in front of the cubic scans.  First, for the
+    ultrametric flavor only: a matrix equal to its
+    :func:`_subdominant_ultrametric` satisfies the strong triangle
+    inequality exactly, hence also the triangle inequality
+    (max(a, b) <= a + b for a, b >= 0), at any slack, and passes.
+    Second, for the triangle inequality: when the rows' Chebyshev
+    distances certify it (:func:`_triangle_certified`, which needs a
+    slack, so never at tol=0) the triangle scan is skipped.  A certificate
+    only ever stands in for a scan that would pass; when one fails, the
+    scan it stands in for runs unchanged, so witnesses and tolerant
     passes are those of the scans.  The triangle scan checks i < j only
     (see :func:`_first_triangle_violation`).
     """
@@ -222,7 +268,10 @@ def diagnose(labels, matrix, flavor: str = METRIC, tol: float = DEFAULT_TOL):
     if flavor == ULTRAMETRIC and np.array_equal(m, _subdominant_ultrametric(m)):
         return None
     slack = tol * float(m.max()) if n > 1 else 0.0
-    hit = _first_triangle_violation(m, slack, strong=False)
+    if _triangle_certified(m, slack):
+        hit = None
+    else:
+        hit = _first_triangle_violation(m, slack, strong=False)
     if hit is not None:
         i, j, k = hit
         return TriangleViolation(

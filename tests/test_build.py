@@ -102,9 +102,26 @@ def test_pairwise_linf_matches_loop_oracle():
     assert np.array_equal(pairwise_linf(coords), orc.linf_by_loops(coords))
 
 
+def _linf_by_broadcast(coords):
+    # reference: max over axes of |x - y| through an (n, n, k) broadcast
+    return np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2)
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (7, 1), (9, 4), (0, 3)], ids=str)
+@pytest.mark.parametrize("scale", [1.0, 1e300], ids=["unit", "1e300"])
+def test_pairwise_linf_is_bit_equal_to_the_loops_and_the_broadcast(shape, scale):
+    # at 1e300 the coordinates lie near +-1e300 and their differences
+    # near 2e300, still finite
+    coords = trial_rng(52, 0).uniform(-1.0, 1.0, size=shape) * scale
+    out = pairwise_linf(coords)
+    assert out.shape == (shape[0], shape[0])
+    assert out.tobytes() == orc.linf_by_loops(coords).tobytes()
+    assert out.tobytes() == _linf_by_broadcast(coords).tobytes()
+
+
 def test_pairwise_linf_blocked_path():
-    # 1500 points x 2 axes forces more than one row block; with the
-    # second axis constant the answer is the plain |x - y| table
+    # 1500 points x 2 axes: a large input for the distance kernel; with
+    # the second axis constant the answer is the plain |x - y| table
     rng = trial_rng(51, 0)
     x = rng.uniform(0.0, 1.0, size=1500)
     coords = np.stack([x, np.zeros_like(x)], axis=1)
@@ -313,10 +330,10 @@ def test_mcshane_memory_stays_flat_and_matches_oracle():
 
 
 def test_mcshane_names_the_first_bad_pair_past_the_first_block():
-    # rows of the (256, 256) spread are checked 16 at a time; pairs
-    # (100, 180) and (100, 200) become violations when their distance
-    # shrinks below the coordinate gap, and the first in row-major
-    # order over the sorted subset is named
+    # pairs (100, 180) and (100, 200) of the (256, 256) spread become
+    # violations when their distance shrinks below the coordinate gap,
+    # and the first in row-major order over the sorted subset is named,
+    # far past the spread's first rows
     space = _integer_linf_space(256, 2)
     values = space.matrix.copy()
     matrix = space.matrix.copy()
@@ -341,6 +358,9 @@ def test_mcshane_guards():
         mcshane_extend(space, [0, 1], np.zeros(2), 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         mcshane_extend(space, [0, 1], np.zeros((2, 1)), -1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="values must be finite"):
+            mcshane_extend(space, [0, 1], np.array([[0.0], [bad]]), 1.0)
     with pytest.raises(NotLipschitzOnSubset):
         mcshane_extend(space, [0, 1], np.array([[0.0], [100.0]]), 0.5)
 

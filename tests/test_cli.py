@@ -433,7 +433,11 @@ def test_validate_of_a_malformed_space_is_a_clean_error(tmp_path, capsys, obj):
     assert capsys.readouterr().err.startswith("error: malformed space object:")
 
 
-@pytest.mark.parametrize("thresholds", [[1, 2], {"beta0": [1]}], ids=["list", "nested"])
+@pytest.mark.parametrize(
+    "thresholds",
+    [[1, 2], {"beta0": [1]}, {"c_min": True}, {"beta0": "2"}],
+    ids=["list", "nested", "bool", "string"],
+)
 def test_malformed_thresholds_are_a_clean_error(tmp_path, capsys, thresholds):
     space = _write(tmp_path, "space.json", _line_space_json([0.0, 1.0, 3.0], "abc"))
     path = _write(tmp_path, "thresholds.json", thresholds)
@@ -481,6 +485,16 @@ def test_malformed_experiment_thresholds_are_a_clean_error(tmp_path, capsys):
     config = _write(tmp_path, "cfg.json", {"experiment": "dense_ud", "thresholds": [1]})
     assert main(["experiment", config]) == 1
     assert capsys.readouterr().err.startswith("error: malformed thresholds object:")
+
+
+def test_experiment_out_that_is_not_a_path_is_a_clean_error(tmp_path, capsys):
+    # open() takes an integer as a file descriptor: with out = 1 the
+    # report would go to fd 1 and stdout would be closed
+    config = _write(tmp_path, "cfg.json", {"experiment": "dense_ud", "n": 8, "out": 1})
+    assert main(["experiment", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out must be a file path, got 1")
 
 
 # ---------------------------------------------------------------------------

@@ -93,12 +93,40 @@ def test_config_json_round_trip():
 
 @pytest.mark.parametrize(
     "fields",
-    [{"trials": 2.7}, {"seed": 3.9}, {"epsilon": True}, {"trials": "3"}],
-    ids=["fractional-trials", "fractional-seed", "bool-epsilon", "string-trials"],
+    [
+        {"trials": 2.7},
+        {"seed": 3.9},
+        {"epsilon": True},
+        {"trials": "3"},
+        {"thresholds": {"c_min": True}},
+        {"thresholds": {"beta0": "2"}},
+    ],
+    ids=[
+        "fractional-trials",
+        "fractional-seed",
+        "bool-epsilon",
+        "string-trials",
+        "bool-c_min",
+        "string-beta0",
+    ],
 )
 def test_config_json_values_are_not_coerced(fields):
     with pytest.raises(ValueError, match="must be an integer|must be a number"):
         ExperimentConfig.from_json({"experiment": "dense_ud", **fields})
+
+
+def test_config_thresholds_take_ints_and_floats():
+    config = ExperimentConfig.from_json(
+        {"experiment": "dense_ud", "thresholds": {"beta0": 3, "c_min": 0.25}}
+    )
+    assert config.thresholds == Thresholds(beta0=3.0, c_min=0.25)
+    assert repr(config.to_json()["thresholds"]["beta0"]) == "3.0"
+
+
+@pytest.mark.parametrize("out", [1, 0.5, ["report.json"]], ids=["int", "float", "list"])
+def test_config_rejects_an_out_that_is_not_a_path(out):
+    with pytest.raises(ValueError, match="out must be a file path"):
+        ExperimentConfig.from_json({"experiment": "dense_ud", "out": out})
 
 
 def test_config_rejects_a_fractional_trial_count():

@@ -251,6 +251,66 @@ def test_exact_ultrametric_is_certified_without_scanning(matrix, monkeypatch):
         assert diagnose(_labels(len(matrix)), matrix, flavor="ultrametric", tol=tol) is None
 
 
+def _integer_grid_metric(n, seed):
+    # max-norm distances between distinct integer points: every sum is
+    # exact, so the triangle inequality holds even at tol = 0
+    rng = np.random.default_rng(seed)
+    points = np.unique(rng.integers(0, 1000, size=(2 * n, 2)), axis=0)[:n]
+    return np.abs(points[:, None, :] - points[None, :, :]).max(axis=2).astype(float)
+
+
+def test_valid_metric_is_certified_without_the_triangle_scan(monkeypatch):
+    matrix = _integer_grid_metric(40, 0)
+    assert orc.first_triangle_violation_by_loops(matrix, 0.0, strong=False) is None
+    calls = []
+    scan = spaces._first_triangle_violation
+
+    def spy(matrix, slack, strong):
+        calls.append((slack, strong))
+        return scan(matrix, slack, strong)
+
+    monkeypatch.setattr(spaces, "_first_triangle_violation", spy)
+    assert diagnose(_labels(40), matrix, tol=spaces.DEFAULT_TOL) is None
+    assert calls == []
+    assert diagnose(_labels(40), matrix, tol=0.0) is None
+    assert calls == [(0.0, False)]
+
+
+def _ulp_steps(x, k):
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+    return float(x)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("tol", [0.0, 1e-15, VALIDATION_TOL])
+def test_triangle_planted_at_the_scan_boundary_matches_the_loop_oracle(scale, tol):
+    # d(0, 2) sits at the scan's own boundary fl(fl(a + b) + slack) with
+    # a = d(0, 1), b = d(1, 2), moved by -4..+4 ulps, by +-slack and by
+    # -slack/2; point 3 pins the max entry, hence the slack
+    rng = np.random.default_rng(7)
+    top = 2.0 * scale
+    slack = tol * top
+    certified = 0
+    for a, b in rng.uniform(0.1, 0.45, size=(5, 2)) * scale:
+        boundary = float((a + b) + slack)
+        planted = [_ulp_steps(boundary, k) for k in range(-4, 5)]
+        planted += [boundary - slack, boundary - slack / 2, boundary + slack]
+        for c in planted:
+            matrix = np.array(
+                [[0.0, a, c, top], [a, 0.0, b, top], [c, b, 0.0, top], [top, top, top, 0.0]]
+            )
+            expected = orc.first_triangle_violation_by_loops(matrix, slack, strong=False)
+            violation = diagnose(_labels(4), matrix, tol=tol)
+            got = None if violation is None else violation.indices
+            assert got == expected, (a, b, c)
+            assert (expected is None) == (c <= boundary)
+            certified += spaces._triangle_certified(matrix, slack)
+    # the certificate decides some cases only where the slack is a normal
+    # float of at least 8 * eps * max entry
+    assert (certified > 0) == (tol == VALIDATION_TOL and scale >= 1.0)
+
+
 def test_ultrametric_within_tol_falls_back_to_the_tolerant_scan():
     # d(1, 2) sits 1e-12 above max(d(1, 0), d(0, 2)): the subdominant
     # ultrametric reads 1.0 there, so only the tolerant scan can accept it
