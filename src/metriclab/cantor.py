@@ -149,21 +149,19 @@ def cantor_prefix_metric(count: int, scale: float = 1.0, depth: int | None = Non
     return validate(labels, (scale / 3.0**depth) * gaps, flavor=METRIC)
 
 
-def geometric_prefix_ultrametric(
-    count: int, top: float, ratio: float = 0.5
-) -> FiniteMetricSpace:
+def geometric_prefix_ultrametric(count: int, top: float) -> FiniteMetricSpace:
     """Sequential ultrametric of diameter `top` on the first `count` strings.
 
-    Distances are top * ratio**v(x, y), so the output is an
+    Distances are top * 0.5**v(x, y), so the output is an
     ultrametric whose values form a geometric ladder; used as the
     default replacement piece in the approximation pipelines.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if not top > 0 or not 0 < ratio < 1:
-        raise ValueError("need top > 0 and ratio in (0, 1)")
+    if not top > 0:
+        raise ValueError("top must be positive")
     depth = _string_depth(count)
-    return _ladder_space(top * ratio ** np.arange(depth, dtype=float), _prefix_labels(count, depth))
+    return _ladder_space(top * 0.5 ** np.arange(depth, dtype=float), _prefix_labels(count, depth))
 
 
 def _point_labels(n: int) -> tuple[str, ...]:

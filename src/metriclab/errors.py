@@ -84,10 +84,6 @@ class NotUltrametric(MetricLabError):
     """An ultrametric-flavored input was required."""
 
 
-class NotLipschitzOnSubset(MetricLabError):
-    """The data to extend is not l-Lipschitz on the given subset."""
-
-
 class SequenceTooShort(MetricLabError):
     """A shrinking sequence has fewer values than the requested depth."""
 

@@ -123,12 +123,6 @@ def _subdominant_ultrametric(matrix: np.ndarray) -> np.ndarray:
 _SCAN_BLOCK_ELEMENTS = 1 << 16
 
 
-def _rows_per_block(width: int, budget: int) -> int:
-    """Rows in one block of a row-blocked kernel: as many as keep a
-    (rows, width) temporary within `budget` elements, and at least one."""
-    return max(1, budget // max(1, width))
-
-
 def _first_triangle_violation(matrix: np.ndarray, slack: float, strong: bool):
     """Lexicographically first (i, j, k) violating the (strong) triangle
     inequality, or None.
@@ -149,7 +143,7 @@ def _first_triangle_violation(matrix: np.ndarray, slack: float, strong: bool):
     """
     n = matrix.shape[0]
     combine = np.maximum if strong else np.add
-    step = _rows_per_block(n, _SCAN_BLOCK_ELEMENTS)
+    step = max(1, _SCAN_BLOCK_ELEMENTS // max(1, n))
     buffer = np.empty((min(step, n), n))
     mins = np.empty(n)
     for i in range(n - 1):

@@ -302,17 +302,6 @@ def subset_ratio_extremes_by_scan(base: np.ndarray, perturbed: np.ndarray):
     return min_diam, max_sep
 
 
-def mcshane_by_loops(matrix: np.ndarray, subset, values, lip: float) -> list[float]:
-    """F(x) = min over a of f(a) + lip * d(x, a), one pair at a time."""
-    out = []
-    for x in range(matrix.shape[0]):
-        best = math.inf
-        for a, fa in zip(subset, values):
-            best = min(best, float(fa) + lip * float(matrix[x, a]))
-        out.append(best)
-    return out
-
-
 def linf_by_loops(coords: np.ndarray) -> np.ndarray:
     n = coords.shape[0]
     out = np.zeros((n, n))

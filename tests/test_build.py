@@ -1,17 +1,13 @@
-"""Partitions, amalgams, extensions, nets, and the three approximators."""
-
-import tracemalloc
+"""Partitions, amalgams, embeddings, nets, and the three approximators."""
 
 import numpy as np
 import pytest
 
 import oracles as orc
-from metriclab import build
 from metriclab import (
     ClopenPartition,
     Embedding,
     FiniteMetricSpace,
-    NotLipschitzOnSubset,
     NotUltrametric,
     PieceMismatch,
     TooFewPoints,
@@ -27,7 +23,6 @@ from metriclab import (
     diagnose,
     geometric_range_set,
     greedy_net,
-    mcshane_extend,
     merge_singletons,
     metric_closure,
     pairwise_linf,
@@ -117,6 +112,8 @@ def test_pairwise_linf_is_bit_equal_to_the_loops_and_the_broadcast(shape, scale)
     assert out.shape == (shape[0], shape[0])
     assert out.tobytes() == orc.linf_by_loops(coords).tobytes()
     assert out.tobytes() == _linf_by_broadcast(coords).tobytes()
+    # a Fortran-ordered input, as a column gather gives, reads the same
+    assert pairwise_linf(np.asfortranarray(coords)).tobytes() == out.tobytes()
 
 
 def test_pairwise_linf_blocked_path():
@@ -238,134 +235,6 @@ def test_amalgamate_ultrametric_rejects_off_s_values():
 
 
 # ---------------------------------------------------------------------------
-# Lipschitz extension
-
-
-def test_mcshane_matches_loop_oracle_off_subset():
-    rng = trial_rng(53, 0)
-    space = random_space("closure", 11, rng)
-    subset = [7, 2, 9, 0]
-    values = np.array([1.0, 1.4, 0.8, 1.1])
-    lip = 2.0
-    got, _, _ = mcshane_extend(space, subset, values[:, None], lip)
-    expected = orc.mcshane_by_loops(space.matrix, subset, values, lip)
-    for x in range(space.n):
-        if x in subset:
-            assert got[x, 0] == values[subset.index(x)]
-        else:
-            assert got[x, 0] == expected[x]
-
-
-def test_mcshane_subset_order_is_irrelevant():
-    rng = trial_rng(54, 0)
-    space = random_space("closure", 10, rng)
-    shuffled = [6, 1, 8, 3]
-    values = np.array([0.5, 0.9, 0.7, 0.6])
-    order = np.argsort(shuffled)
-    direct = mcshane_extend(space, shuffled, values[:, None], 1.5)
-    canonical = mcshane_extend(
-        space, [shuffled[k] for k in order], values[order, None], 1.5
-    )
-    assert np.array_equal(direct[0], canonical[0])
-    assert direct[1] == canonical[1] == sorted(shuffled)
-    assert np.array_equal(direct[2], canonical[2])
-
-
-def test_mcshane_output_is_lipschitz():
-    rng = trial_rng(55, 0)
-    space = random_space("points_linf", 14, rng)
-    subset = [0, 5, 9]
-    values = space.matrix[np.ix_(subset, subset)]  # rows are 1-Lipschitz
-    got, ordered, subset_spread = mcshane_extend(space, subset, values, 1.0)
-    spread = np.abs(got[:, None, :] - got[None, :, :]).max(axis=2)
-    slack = 1e-12 * space.diameter
-    assert (spread <= space.matrix + slack).all()
-    assert np.array_equal(got[subset], values)
-    # the returned block is the subset's own max-norm matrix
-    assert ordered == subset
-    assert np.array_equal(subset_spread, spread[np.ix_(subset, subset)])
-
-
-def test_mcshane_vector_equals_per_column_scalars():
-    rng = trial_rng(56, 0)
-    space = random_space("closure", 9, rng)
-    subset = [1, 4, 7]
-    values = rng.uniform(0.0, 1.0, size=(3, 2)) * 0.1
-    vector, _, _ = mcshane_extend(space, subset, values, 1.0)
-    for col in range(2):
-        scalar, _, _ = mcshane_extend(space, subset, values[:, col : col + 1], 1.0)
-        assert np.array_equal(vector[:, col], scalar[:, 0])
-
-
-def _integer_linf_space(n, seed):
-    """n distinct integer points in a cube under the max norm: every
-    distance, and every sum below, is an exact small integer."""
-    rng = np.random.default_rng(seed)
-    codes = rng.choice(64**3, size=n, replace=False)
-    points = np.stack([codes // 64**2, (codes // 64) % 64, codes % 64], axis=1)
-    matrix = np.abs(points[:, None, :] - points[None, :, :]).max(axis=2).astype(float)
-    return FiniteMetricSpace(tuple(f"q{i}" for i in range(n)), matrix)
-
-
-def test_mcshane_memory_stays_flat_and_matches_oracle():
-    # Kuratowski coordinates on 256 landmarks are 1-Lipschitz; the
-    # unblocked kernel allocated two (k, k, 256) and (n, k, 256) arrays
-    space = _integer_linf_space(256, 0)
-    rng = np.random.default_rng(1)
-    landmarks = rng.permutation(256)
-    for k in (256, 128):
-        subset = [int(i) for i in rng.permutation(256)[:k]]
-        values = space.matrix[np.ix_(subset, landmarks)]
-        tracemalloc.start()
-        try:
-            got, _, _ = mcshane_extend(space, subset, values, 1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
-        assert np.array_equal(got[subset], values)
-        for col in range(0, 256, 17):
-            expected = orc.mcshane_by_loops(space.matrix, subset, values[:, col], 1.0)
-            assert np.array_equal(got[:, col], expected)
-
-
-def test_mcshane_names_the_first_bad_pair_past_the_first_block():
-    # pairs (100, 180) and (100, 200) of the (256, 256) spread become
-    # violations when their distance shrinks below the coordinate gap,
-    # and the first in row-major order over the sorted subset is named,
-    # far past the spread's first rows
-    space = _integer_linf_space(256, 2)
-    values = space.matrix.copy()
-    matrix = space.matrix.copy()
-    for j in (200, 180):
-        matrix[100, j] = matrix[j, 100] = 0.5
-    broken = FiniteMetricSpace(space.labels, matrix)
-    subset = list(range(255, -1, -1))
-    with pytest.raises(NotLipschitzOnSubset, match=r"\|f\(100\) - f\(180\)\| = "):
-        mcshane_extend(broken, subset, values[::-1], 1.0)
-
-
-def test_mcshane_guards():
-    rng = trial_rng(57, 0)
-    space = random_space("closure", 8, rng)
-    with pytest.raises(ValueError, match="subset must be nonempty"):
-        mcshane_extend(space, [], np.zeros((0, 1)), 1.0)
-    with pytest.raises(ValueError, match="distinct"):
-        mcshane_extend(space, [1, 1], np.zeros((2, 1)), 1.0)
-    with pytest.raises(ValueError, match=r"\(2, components\) array, got shape \(1, 1\)"):
-        mcshane_extend(space, [0, 1], np.zeros((1, 1)), 1.0)
-    with pytest.raises(ValueError, match=r"got shape \(2,\)"):
-        mcshane_extend(space, [0, 1], np.zeros(2), 1.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        mcshane_extend(space, [0, 1], np.zeros((2, 1)), -1.0)
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="values must be finite"):
-            mcshane_extend(space, [0, 1], np.array([[0.0], [bad]]), 1.0)
-    with pytest.raises(NotLipschitzOnSubset):
-        mcshane_extend(space, [0, 1], np.array([[0.0], [100.0]]), 0.5)
-
-
-# ---------------------------------------------------------------------------
 # nets, carving, merging
 
 
@@ -470,37 +339,41 @@ def test_approximate_doubling_certificate():
 
 
 def test_approximate_doubling_matches_the_two_pass_oracle():
-    # the net x net block comes from the Lipschitz check and only the rows
-    # outside the net are extended: the bytes equal extending every row
-    # and taking the max-norm matrix of all coordinates
+    # these hosts meet the triangle inequality at slack 0, so the net's
+    # own distance columns equal extending the net rows to every point by
+    # McShane's formula, and the output is the max-norm matrix of all
+    # coordinates, byte for byte
     rng = trial_rng(69, 0)
-    for mode in ("closure", "points_linf"):
-        for n in (17, 40):
-            host = random_space(mode, n, rng)
-            every, one = host.separation / 2, 2 * host.diameter
-            assert (len(greedy_net(host, every)), len(greedy_net(host, one))) == (n, 1)
-            for eps in (every, host.diameter / 8, host.diameter / 3, one):
-                out, emb = approximate_doubling(host, eps)
-                matrix, coords = orc.doubling_embedding_by_two_passes(host.matrix, eps)
-                assert out.matrix.tobytes() == matrix.tobytes()
-                assert emb.coordinates.tobytes() == coords.tobytes()
+    hosts = [random_space(mode, n, rng) for mode in ("closure", "points_linf") for n in (17, 40)]
+    hosts += [random_space(mode, 128, rng) for mode in ("closure", "points_linf")]
+    hosts += [random_space("sequential", n, rng) for n in (17, 40, 128)]
+    for host in hosts:
+        n = host.n
+        every, one = host.separation / 2, 2 * host.diameter
+        assert (len(greedy_net(host, every)), len(greedy_net(host, one))) == (n, 1)
+        for eps in (every, host.diameter / 8, host.diameter / 3, one):
+            out, emb = approximate_doubling(host, eps)
+            matrix, coords = orc.doubling_embedding_by_two_passes(host.matrix, eps)
+            assert out.matrix.tobytes() == matrix.tobytes()
+            assert emb.coordinates.tobytes() == coords.tobytes()
 
 
-def test_approximate_doubling_extends_the_net_through_mcshane_extend(monkeypatch):
-    # the pipeline reaches the extension through the module attribute, so
-    # a wrapper bound there (a spy, or a tracer) sees every call
-    calls = []
-    extend = build.mcshane_extend
-
-    def spy(space, subset, values, lip):
-        calls.append((list(subset), lip))
-        return extend(space, subset, values, lip)
-
-    monkeypatch.setattr(build, "mcshane_extend", spy)
-    host = random_space("points_linf", 24, trial_rng(66, 0))
-    eps = host.diameter / 4
-    approximate_doubling(host, eps)
-    assert calls == [(greedy_net(host, eps), 1.0)]
+def test_approximate_doubling_embeds_a_slack_only_host_by_its_own_columns():
+    # d(0, 2) sits 2 ulps above the path through point 1, which only the
+    # validation slack allows: McShane's formula would give point 2 the
+    # coordinate 0.52 on axis 0, below the host's own entry
+    matrix = _line_space([0.0, 0.5, 0.52, 1.0]).matrix.copy()
+    matrix[0, 2] = matrix[2, 0] = np.nextafter(np.nextafter(0.52, 1.0), 1.0)
+    host = validate(_labels(4), matrix)
+    eps = 0.1
+    net = greedy_net(host, eps)
+    assert net == [0, 3, 1]
+    _, mcshane = orc.doubling_embedding_by_two_passes(host.matrix, eps)
+    assert mcshane[2, 0] == 0.52 < host.matrix[2, 0]
+    out, emb = approximate_doubling(host, eps)
+    assert emb.coordinates[:, :-1].tobytes() == host.matrix[:, net].tobytes()
+    assert out.matrix.tobytes() == orc.linf_by_loops(emb.coordinates).tobytes()
+    assert sup_distance(out, host).value <= 4 * eps
 
 
 def test_approximate_ud_metric_path():

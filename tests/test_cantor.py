@@ -162,7 +162,7 @@ def test_prefix_metric_guards_and_default_depth():
 
 
 def test_geometric_prefix_ultrametric():
-    space = geometric_prefix_ultrametric(6, top=0.8, ratio=0.5)
+    space = geometric_prefix_ultrametric(6, top=0.8)
     assert space.flavor == "ultrametric"
     assert space.diameter == 0.8
     values = sorted(set(space.matrix.ravel().tolist()) - {0.0})
@@ -171,8 +171,6 @@ def test_geometric_prefix_ultrametric():
     assert lone.n == 1
     with pytest.raises(ValueError):
         geometric_prefix_ultrametric(4, top=0.0)
-    with pytest.raises(ValueError):
-        geometric_prefix_ultrametric(4, top=1.0, ratio=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +180,11 @@ PREFIX_COUNTS = tuple(range(1, 70)) + (127, 128, 129, 256, 257)
 
 # sha256 over the outputs (and error texts) of _binary_string_outputs,
 # recorded before the constructions were routed through one depth rule,
-# one label rule and one ladder builder.
-BINARY_STRING_DIGEST = "4dc309b8daf3bc79c8a68573cde8a21ef868838d12cc182cb3f6077d2f45b354"
+# one label rule and one ladder builder.  Re-recorded once for one error
+# text: geometric_prefix_ultrametric's guard now reads "top must be
+# positive"; with the old text in its place the old digest
+# 4dc309b8daf3bc79c8a68573cde8a21ef868838d12cc182cb3f6077d2f45b354 comes out.
+BINARY_STRING_DIGEST = "3f348a2fb729e5d4d59afc5aa2297f637617444ea29c616af45937ef8a0e9875"
 
 
 def _all_strings_metric(depth, scale):
@@ -192,6 +193,14 @@ def _all_strings_metric(depth, scale):
     if not scale > 0:
         raise ValueError("scale must be positive")
     return cantor_prefix_metric(BinaryPointSet(depth).count, scale, depth)
+
+
+def _geometric_ladder(count, top, ratio):
+    """The ladder top * ratio**v on the first `count` strings: the
+    geometric prefix ultrametric at a ratio other than its own 0.5."""
+    depth = cantor._string_depth(count)
+    rungs = top * ratio ** np.arange(depth, dtype=float)
+    return cantor._ladder_space(rungs, cantor._prefix_labels(count, depth))
 
 
 def _binary_string_outputs():
@@ -205,7 +214,7 @@ def _binary_string_outputs():
         yield cantor_prefix_metric, (count,)
         yield cantor_prefix_metric, (count, 2.5, 9)
         yield geometric_prefix_ultrametric, (count, 1.0)
-        yield geometric_prefix_ultrametric, (count, 0.125, 0.3)
+        yield _geometric_ladder, (count, 0.125, 0.3)
         yield default_metric_piece, (labels, 0.7)
         for S in range_sets:
             yield build._s_valued_piece, (labels, 0.3, S)

@@ -422,6 +422,42 @@ def test_missing_keys_is_a_clean_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+# JSON reads this as a Python int; converting it to a float overflows
+HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "obj, commands",
+    [
+        ({"experiment": "dense_ud", "n": 12, "epsilon": HUGE}, [["experiment", "FILE"]]),
+        ({"beta0": HUGE}, [["moduli", "SPACE", "--thresholds", "FILE"]]),
+        (
+            {"labels": ["a", "b"], "matrix": [[0, HUGE], [HUGE, 0]]},
+            [["validate", "FILE"], ["moduli", "FILE"]],
+        ),
+        (
+            {"kind": "geometric", "ratio": HUGE, "scale": 1.0},
+            [["rangeset", "check", "FILE", "--a", "2", "--m", "2", "--n", "3"]],
+        ),
+        (
+            {"values": [HUGE, 0.5, 0.25], "envelope": None},
+            [["cantor", "gen", "--sequence", "FILE", "--depth", "2"]],
+        ),
+    ],
+    ids=["config_epsilon", "thresholds", "space_matrix", "rangeset_ratio", "sequence"],
+)
+def test_an_integer_too_large_for_a_float_is_a_clean_error(tmp_path, capsys, obj, commands):
+    files = {
+        "FILE": _write(tmp_path, "input.json", obj),
+        "SPACE": _write(tmp_path, "space.json", _line_space_json([0.0, 1.0, 3.0], "abc")),
+    }
+    for command in commands:
+        assert main([files.get(arg, arg) for arg in command]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: int too large to convert to float\n"
+
+
 @pytest.mark.parametrize(
     "obj",
     [[[0.0, 1.0], [1.0, 0.0]], {"labels": 5, "matrix": [[0.0]]}],

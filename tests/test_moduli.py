@@ -357,7 +357,7 @@ def test_up_constant_matches_radius_scan_oracle():
 
 
 def test_up_constant_geometric_ladder_is_exact():
-    space = geometric_prefix_ultrametric(64, top=1.0, ratio=0.5)
+    space = geometric_prefix_ultrametric(64, top=1.0)
     report = up_constant(space, space.separation)
     assert report.c_star == 0.5
 
@@ -413,7 +413,7 @@ def test_up_constant_guards():
 
 
 def test_classify_geometric_ladder_hits_all_ones():
-    space = geometric_prefix_ultrametric(64, top=1.0, ratio=0.5)
+    space = geometric_prefix_ultrametric(64, top=1.0)
     tv = classify(space)
     assert tv.bits == (1, 1, 1)
     assert tv.reports["up"].c_star == 0.5
@@ -449,7 +449,7 @@ def test_classify_honors_explicit_r_min():
 
 
 def test_classify_threshold_flips():
-    space = geometric_prefix_ultrametric(32, top=1.0, ratio=0.5)
+    space = geometric_prefix_ultrametric(32, top=1.0)
     strict = classify(space, thresholds=Thresholds(c_min=0.9))
     assert strict.u3 == 0
     loose = classify(space, thresholds=Thresholds(c_max=1.0))
