@@ -250,7 +250,7 @@ def diagnose(labels, matrix, flavor: str = METRIC, tol: float = DEFAULT_TOL):
     passes are those of the scans.  The triangle scan checks i < j only
     (see :func:`_first_triangle_violation`).
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tolerance must be nonnegative")
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -348,10 +348,32 @@ def ultra_distance(
 def metric_closure(labels, raw) -> FiniteMetricSpace:
     """Shortest-path repair of a symmetric positive dissimilarity matrix.
 
-    Returns the largest metric below the raw matrix (all-pairs minimum
-    path sums, Floyd-Warshall).  The raw matrix must pass the entry-level
-    checks of :func:`diagnose`; a zero off-diagonal entry anywhere raises
-    ZeroOffDiagonal (it would merge points) ahead of a negative one.
+    The output is the float Floyd-Warshall k-outer recurrence
+    d(i, j) <- min(d(i, j), fl(d(i, k) + d(k, j))) for k = 0, ..., n-1
+    (Floyd 1962), bit for bit, and a metric within the validation slack.
+    It is the all-pairs minimum path sum up to rounding, not always the
+    largest metric below the raw matrix: a rounded sum can leave a triple
+    that breaks the triangle inequality at slack 0 by an ulp.  The raw
+    matrix must pass the entry-level checks of :func:`diagnose`; a zero
+    off-diagonal entry anywhere raises ZeroOffDiagonal (it would merge
+    points) ahead of a negative one.
+
+    Step k updates only the rows it can change.  Let L be the least
+    off-diagonal input entry (inf when n = 1) and R_i an upper bound on
+    row i's maximum.  The matrix stays exactly symmetric, since
+    fl(a + b) = fl(b + a), so d(i, k) is read from row k and row i's
+    maximum from column i.  Every off-diagonal entry stays >= L at every
+    step, because fl(a + b) >= a for b >= 0; and rows only shrink, so
+    R_i stays a bound and is recomputed only for the rows just updated.
+    Rounding is monotone, so when fl(d(i, k) + L) >= R_i, then
+    fl(d(i, k) + d(k, j)) >= d(i, j) for every j != k (this covers an
+    overflow to inf), and j = k adds 0: row i cannot change at step k.
+    Step k therefore gathers the rows with fl(d(i, k) + L) < R_i and
+    applies the recurrence to those alone.  When at least half the rows
+    pass, it updates the whole matrix in place instead, which moves less
+    data than the gather and scatter; the skipped rows then take the
+    identity update.  Row k and column k do not change during step k,
+    so the values are those of the full update.
     """
     m = np.array(raw, dtype=float)
     error = _entry_violation(labels, m)
@@ -364,8 +386,22 @@ def metric_closure(labels, raw) -> FiniteMetricSpace:
             )
     if error is not None:
         raise error
-    for k in range(len(m)):
-        np.minimum(m, m[:, k : k + 1] + m[k : k + 1, :], out=m)
+    n = len(m)
+    least = np.min(m, initial=np.inf, where=~np.eye(n, dtype=bool))
+    bound = m.max(axis=1)
+    # a sum that overflows to inf never lowers an entry; it only skips a row
+    with np.errstate(over="ignore"):
+        for k in range(n):
+            row_k = m[k]
+            live = np.flatnonzero(row_k + least < bound)
+            if 2 * len(live) >= n:
+                np.minimum(m, row_k[:, None] + row_k, out=m)
+                m.max(axis=0, out=bound)
+            else:
+                rows = m.take(live, axis=0)
+                np.minimum(rows, row_k.take(live)[:, None] + row_k, out=rows)
+                m[live] = rows
+                bound[live] = rows.max(axis=1)
     return validate(labels, m, flavor=METRIC)
 
 

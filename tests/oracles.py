@@ -142,6 +142,15 @@ def closure_by_loops(matrix: np.ndarray) -> np.ndarray:
     return np.array(m)
 
 
+def closure_by_full_steps(matrix: np.ndarray) -> np.ndarray:
+    """The same recurrence with every step a numpy update of all n rows,
+    skipping none: d <- min(d, d(., k) + d(k, .))."""
+    m = np.array(matrix, dtype=float)
+    for k in range(len(m)):
+        np.minimum(m, m[:, k : k + 1] + m[k : k + 1, :], out=m)
+    return m
+
+
 # ---------------------------------------------------------------------------
 # moduli
 

@@ -80,6 +80,19 @@ def test_validate_honours_tol(tmp_path, capsys):
     assert payload["axiom"] == "triangle"
 
 
+def test_validate_rejects_a_nan_tol(tmp_path, capsys):
+    bad = {
+        "labels": ["a", "b", "c"],
+        "matrix": [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]],
+        "flavor": "metric",
+    }
+    path = _write(tmp_path, "bad.json", bad)
+    assert main(["validate", path, "--tol", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tolerance must be nonnegative\n"
+
+
 def test_validate_writes_out_file(tmp_path, capsys):
     path = _write(tmp_path, "space.json", _line_space_json([0.0, 2.0], "ab"))
     out = tmp_path / "result.json"

@@ -140,6 +140,15 @@ def test_diagnose_strong_triangle_for_ultrametric_flavor():
         validate(_labels(3), matrix, flavor="ultrametric")
 
 
+def test_diagnose_rejects_a_nan_tolerance():
+    # a NaN slack would make every triangle comparison False
+    matrix = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+        diagnose(_labels(3), matrix, tol=float("nan"))
+    with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+        validate(_labels(3), matrix, tol=float("nan"))
+
+
 def test_diagnose_rejects_bad_arguments():
     with pytest.raises(ValueError):
         diagnose(_labels(2), np.zeros((2, 2)), tol=-1.0)
@@ -528,6 +537,65 @@ def test_closure_is_the_k_outer_recurrence_bit_for_bit():
             for scale in (1.0, 1e300, 1e-300):
                 repaired = metric_closure(_labels(n), raw * scale)
                 assert repaired.matrix.tobytes() == orc.closure_by_loops(raw * scale).tobytes()
+    # closure hosts' raw entries: at these sizes some steps update the whole
+    # matrix in place, the others gather the live rows, and about half of
+    # the (row, k) updates are skipped
+    for n in (64, 128):
+        raw = _symmetric_raw(rng, n)
+        repaired = metric_closure(_labels(n), raw)
+        assert repaired.matrix.tobytes() == orc.closure_by_loops(raw).tobytes()
+    raw = _symmetric_raw(rng, 300)
+    repaired = metric_closure(_labels(300), raw)
+    assert repaired.matrix.tobytes() == orc.closure_by_full_steps(raw).tobytes()
+
+
+def test_closure_keeps_a_one_ulp_shortcut_through_the_least_entry():
+    # d(1, 2) = 0.5 is the least entry and d(0, 2) exceeds d(0, 1) + d(1, 2)
+    # by one ulp, so step 1 must shorten d(0, 2) (and d(2, 0)), and nothing
+    # else ever changes.  Points 3-7 sit at 1.25 from everything, so step 1
+    # gathers rows 0-2 only; fl(d(0, 1) + L) = 1.5 < R_0 keeps row 0 among
+    # them, where L = 1.0, the second-least entry, would skip it.
+    top = np.nextafter(1.5, np.inf)
+    raw = np.full((8, 8), 1.25)
+    raw[:3, :3] = [[0.0, 1.0, top], [1.0, 0.0, 0.5], [top, 0.5, 0.0]]
+    np.fill_diagonal(raw, 0.0)
+    repaired = metric_closure(_labels(8), raw)
+    assert repaired.matrix.tobytes() == orc.closure_by_loops(raw).tobytes()
+    assert np.argwhere(repaired.matrix != raw).tolist() == [[0, 2], [2, 0]]
+    assert repaired.matrix[0, 2] == 1.5
+
+
+def test_closure_returns_a_narrow_metric_unchanged():
+    # entries in [1, 1.5]: fl(d(i, k) + L) >= 2 > R_i, so step k skips every
+    # row but row k itself, whose update is the identity
+    rng = trial_rng(71, 0)
+    raw = _symmetric_raw(rng, 40, lo=1.0, hi=1.5)
+    repaired = metric_closure(_labels(40), raw)
+    assert repaired.matrix.tobytes() == raw.tobytes()
+
+
+def test_closure_edge_sizes_and_overflowing_sums():
+    assert metric_closure(_labels(1), [[0.0]]).matrix.tobytes() == np.zeros((1, 1)).tobytes()
+    # near the top of the float range, d(i, k) + L overflows to inf for the
+    # larger entries while the shortcuts between smaller ones stay finite
+    rng = trial_rng(71, 1)
+    raw = _symmetric_raw(rng, 24, lo=0.3, hi=1.7) * 1e308
+    assert float(raw.max()) + float(raw[raw > 0].min()) == np.inf
+    repaired = metric_closure(_labels(24), raw)
+    assert (repaired.matrix < raw).any()
+    assert repaired.matrix.tobytes() == orc.closure_by_loops(raw).tobytes()
+
+
+def test_closure_output_can_break_the_triangle_by_an_ulp():
+    # the rounded recurrence leaves d(39, 61) one ulp above
+    # fl(d(39, 2) + d(2, 61)): a metric within the validation slack only
+    space = random_space("closure", 64, trial_rng(7, 64))
+    m = space.matrix
+    assert m[39, 61] == 1.5861219745809483
+    assert m[39, 2] + m[2, 61] == 1.586121974580948
+    violation = diagnose(space.labels, m, tol=0.0)
+    assert (violation.axiom, violation.indices) == ("triangle", (39, 61, 2))
+    assert diagnose(space.labels, m, tol=spaces.DEFAULT_TOL) is None
 
 
 def test_closure_input_guards():
