@@ -27,9 +27,10 @@ from .moduli import UDReport, ud_modulus, up_report
 from .rangesets import RangeSet, contains, greatest_leq, ladder
 from .spaces import (
     DEFAULT_TOL,
-    METRIC,
     ULTRAMETRIC,
     FiniteMetricSpace,
+    _triangle_holds,
+    _validate_built,
     validate,
 )
 
@@ -133,6 +134,25 @@ def pairwise_linf(coords: np.ndarray) -> np.ndarray:
     return squareform(pdist(coords, "chebyshev"))
 
 
+def _max_norm_space(labels, coords) -> FiniteMetricSpace:
+    """The validated space of the max-norm distances of finite row
+    vectors, certified by construction: only the O(n^2) entry checks run.
+
+    Proof (see :func:`metriclab.spaces._validate_built` for the guard
+    s >= 64uM, u = 2**-53, M the max entry, s the slack).  For finite
+    x, z, fl(x - z) = (x - z)(1 + delta) with |delta| <= u (exact when
+    subnormal; an overflow is an inf entry, which the entry checks send
+    to :func:`validate`), and fabs and max are exact.  Per axis,
+    |x_a - z_a| <= |x_a - y_a| + |y_a - z_a| <= T / (1 - u) with
+    T = D(x, y) + D(y, z), so D(x, z) <= T (1 + u) / (1 - u).  The scan
+    flags (x, z, y) only when D(x, z) > R = fl(fl(T) + s), which is inf
+    (nothing flagged) or >= T (1 - u)**2 + s (1 - u).  Flagging would
+    need T ((1 + u) / (1 - u) - (1 - u)**2) <= 4.01uT <= 8.02uM to
+    exceed s (1 - u): impossible once s >= 8.1uM.
+    """
+    return _validate_built(labels, pairwise_linf(coords))
+
+
 def _check_pieces(
     d: FiniteMetricSpace,
     partition: ClopenPartition,
@@ -169,7 +189,8 @@ def _assemble(
     bridge = d.matrix[np.ix_(bp_of, bp_of)]
     out = combine(arm[:, None], bridge, arm[None, :])
     for piece, metric in zip(partition.pieces, pieces_metrics):
-        out[np.ix_(piece, piece)] = metric.matrix
+        index = np.array(piece)
+        out[index[:, None], index] = metric.matrix
     return out
 
 
@@ -186,7 +207,62 @@ def amalgamate_metric(
     # grouping (with the exactly-symmetric bridge m) keeps the output
     # exactly symmetric.
     matrix = _assemble(d, partition, pieces_metrics, lambda a, m, b: (a + b) + m)
-    return validate(d.labels, matrix, flavor=METRIC)
+    return _validate_built(
+        d.labels,
+        matrix,
+        lambda slack: _sum_form_certified(matrix, partition, pieces_metrics, slack),
+    )
+
+
+def _sum_form_certified(D: np.ndarray, partition, pieces_metrics, slack: float) -> bool:
+    """True when the pieces and the basepoint block prove that the
+    triangle scan of the sum-form amalgam D at `slack` flags no triple.
+
+    Checks, at h = slack / 2: each distinct piece matrix (deduplicated
+    by shape and bytes), and the k x k block of D on the basepoints, by
+    :func:`metriclab.spaces._triangle_holds`.  D's entry checks have
+    passed, and they cover both, since piece blocks are copied into D
+    bit-exactly and D(p, q) = fl(fl(0 + 0) + d(p, q)) = d(p, q) for
+    basepoints p != q.  Cost O(k^3 + sum of distinct |P|^3), against
+    O(n^3) for the scan.
+
+    Proof.  Write s = slack, M = max D, u = 2**-53, and for x in the
+    piece with basepoint p, a_x = D(x, p) (its arm).  Across pieces
+    D(x, y) = fl(fl(a_x + a_y) + D(p, q)).  A sum of finite nonnegative
+    floats is (x + y)(1 + delta), |delta| <= u, or overflows to inf.
+    The scan flags (x, y, z) when D(x, y) > R = fl(fl(D(x, z) + D(z, y)) + s).
+    Every sum below is monotone in its terms, so when a bound used
+    overflows, R does too and nothing is flagged.
+
+    * x, y, z in one piece: its check at h <= s.
+    * x, y in piece P, z not: D(x, z) >= a_x and D(z, y) >= a_y, so
+      R >= fl(fl(a_x + a_y) + h) >= D(x, y) by P's check on (x, y, p).
+      No rounding margin is needed.
+    * x, z in P, y in Q (or y, z in P: D and every sum are symmetric).
+      Let T = D(x, z) + a_z + a_y + D(p, q).  P's check on (x, p, z)
+      gives a_x <= fl(fl(D(x, z) + a_z) + h), so
+      D(x, y) <= T (1 + u)**4 + h (1 + u)**3, while
+      D(z, y) >= (a_z + a_y + D(p, q))(1 - u)**2 gives
+      R >= T (1 - u)**4 + s (1 - u).
+    * x, y, z in three pieces with basepoints p, q, r.  Let
+      T = a_x + a_y + D(p, r) + D(r, q).  The block's check gives
+      D(p, q) <= fl(fl(D(p, r) + D(r, q)) + h), so again
+      D(x, y) <= T (1 + u)**4 + h (1 + u)**3; dropping 2 a_z >= 0 gives
+      R >= T (1 - u)**4 + s (1 - u).
+
+    In the last two cases T <= (D(x, z) + D(z, y)) / (1 - u)**2, which is
+    at most 2.0001M, and flagging needs 8.01uT > s (1 - u) - h (1 + u)**3
+    >= 0.4999s: impossible once s >= 32.1uM.  The guard of
+    :func:`metriclab.spaces._validate_built` asks 64uM.  Checking the
+    pieces at s instead of h leaves no room for the rounding of the
+    cross-piece sums.
+    """
+    half = slack / 2
+    basepoints = np.array(partition.basepoints)
+    if not _triangle_holds(D[basepoints[:, None], basepoints], half):
+        return False
+    distinct = {(p.matrix.shape, p.matrix.tobytes()): p.matrix for p in pieces_metrics}
+    return all(_triangle_holds(matrix, half) for matrix in distinct.values())
 
 
 def amalgamate_ultrametric(
@@ -224,8 +300,8 @@ def greedy_net(space: FiniteMetricSpace, eps: float) -> list[int]:
     until everything lies strictly within eps of it; ties go to the
     lowest index.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
     net = [0]
     dist = space.matrix[0].copy()
     while True:
@@ -240,8 +316,8 @@ def carve_pieces(space: FiniteMetricSpace, eps: float) -> ClopenPartition:
     """Greedy ball carving: repeatedly take the lowest-index remaining
     point and its closed eps/2-ball among remaining points as a piece
     (so every piece has diameter <= eps), with the center as basepoint."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
     remaining = np.ones(space.n, dtype=bool)
     pieces = []
     basepoints = []
@@ -285,6 +361,20 @@ def _relabel(space: FiniteMetricSpace, labels) -> FiniteMetricSpace:
     return FiniteMetricSpace(tuple(labels), space.matrix, flavor=space.flavor)
 
 
+def _pieces_by_size(d: FiniteMetricSpace, partition: ClopenPartition, make) -> list:
+    """Replacement spaces for the pieces.  make(labels) runs once per
+    distinct piece size, on the first piece of that size, and its space
+    is relabelled for every piece of that size."""
+    built: dict[int, FiniteMetricSpace] = {}
+    spaces = []
+    for piece in partition.pieces:
+        labels = [d.labels[i] for i in piece]
+        if len(piece) not in built:
+            built[len(piece)] = make(labels)
+        spaces.append(_relabel(built[len(piece)], labels))
+    return spaces
+
+
 def approximate_doubling(
     d: FiniteMetricSpace, eps: float
 ) -> tuple[FiniteMetricSpace, Embedding]:
@@ -318,7 +408,7 @@ def approximate_doubling(
     net = greedy_net(d, eps)
     aux = np.arange(d.n, dtype=float) * (eps / (2 * d.n))
     embedding = Embedding(np.hstack([d.matrix[:, net], aux[:, None]]))
-    return validate(d.labels, embedding.pairwise_linf(), flavor=METRIC), embedding
+    return _max_norm_space(d.labels, embedding.coordinates), embedding
 
 
 def default_metric_piece(labels, target_diameter: float) -> FiniteMetricSpace:
@@ -344,13 +434,12 @@ def approximate_ud(
     measured disconnectedness modulus of the output ships with it.
     """
     partition = carve_pieces(d, eps)
-    piece_labels = [tuple(d.labels[i] for i in piece) for piece in partition.pieces]
     if S is None:
-        piece_spaces = [default_metric_piece(labels, eps) for labels in piece_labels]
-        out = amalgamate_metric(d, partition, piece_spaces)
+        pieces = _pieces_by_size(d, partition, lambda labels: default_metric_piece(labels, eps))
+        out = amalgamate_metric(d, partition, pieces)
     else:
-        piece_spaces = [_s_valued_piece(labels, eps, S) for labels in piece_labels]
-        out = amalgamate_ultrametric(d, partition, piece_spaces, S)
+        pieces = _pieces_by_size(d, partition, lambda labels: _s_valued_piece(labels, eps, S))
+        out = amalgamate_ultrametric(d, partition, pieces, S)
     return out, ud_modulus(out)
 
 
@@ -403,22 +492,21 @@ def approximate_up(
         raise TooFewPoints("approximate_up needs at least 2 points")
     partition = merge_singletons(d, carve_pieces(d, eps))
     depth = _string_depth(max(len(piece) for piece in partition.pieces))
-    piece_spaces = [
-        _relabel(
-            cantor_prefix_metric(len(piece), scale=eps, depth=depth),
-            tuple(d.labels[i] for i in piece),
-        )
-        for piece in partition.pieces
-    ]
+    piece_spaces = _pieces_by_size(
+        d, partition, lambda labels: cantor_prefix_metric(len(labels), scale=eps, depth=depth)
+    )
     host_piece_diameter = max(
-        float(d.matrix[np.ix_(piece, piece)].max()) for piece in partition.pieces
+        float(d.matrix[index[:, None], index].max())
+        for index in map(np.array, partition.pieces)
     )
     eps_effective = max(eps, host_piece_diameter)
     out = amalgamate_metric(d, partition, piece_spaces)
 
-    r_min = min(piece.separation for piece in piece_spaces)
-    piece_cs = [up_report(piece, r_min).c_star for piece in piece_spaces]
-    min_piece_diameter = min(piece.diameter for piece in piece_spaces)
+    # pieces of one size share one matrix: measure each distinct piece once
+    distinct = list({piece.n: piece for piece in piece_spaces}.values())
+    r_min = min(piece.separation for piece in distinct)
+    piece_cs = [up_report(piece, r_min).c_star for piece in distinct]
+    min_piece_diameter = min(piece.diameter for piece in distinct)
     c_star = up_report(out, r_min).c_star
     bound = 0.5 * min(min(piece_cs), min_piece_diameter / out.diameter)
     report = UPApproximation(

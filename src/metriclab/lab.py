@@ -31,13 +31,13 @@ from functools import partial
 import numpy as np
 
 from .build import (
+    _max_norm_space,
     amalgamate_metric,
     approximate_doubling,
     approximate_ud,
     approximate_up,
     carve_pieces,
     default_metric_piece,
-    pairwise_linf,
 )
 from .cantor import (
     _gapped_rungs,
@@ -48,7 +48,7 @@ from .cantor import (
     _string_depth,
     generate_type,
 )
-from .errors import GenerationFailed, MetricLabError
+from .errors import GenerationFailed, MetricLabError, NonpositiveOffDiagonal
 from .jsontext import dumps
 from .moduli import (
     DEFAULT_THRESHOLDS,
@@ -203,11 +203,10 @@ def random_space(mode: str, size: int, seed) -> FiniteMetricSpace:
         return metric_closure(labels, raw)
     if mode == "points_linf":
         while True:
-            points = rng.uniform(0.0, 1.0, size=(size, 2))
-            matrix = pairwise_linf(points)
-            off = matrix[~np.eye(size, dtype=bool)]
-            if off.min() > 0:
-                return validate(labels, matrix, flavor=METRIC)
+            try:
+                return _max_norm_space(labels, rng.uniform(0.0, 1.0, size=(size, 2)))
+            except NonpositiveOffDiagonal:  # two points coincide: redraw
+                continue
     if mode == "sequential":
         depth = _string_depth(size)
         rungs = np.sort(rng.uniform(0.05, 1.0, size=depth))[::-1]

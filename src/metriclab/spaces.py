@@ -36,6 +36,9 @@ from .rangesets import RangeSet, contains, least_geq
 # always takes the triangle scan (the Chebyshev certificate needs slack).
 DEFAULT_TOL = 1e-9
 
+_TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
+
 METRIC = "metric"
 ULTRAMETRIC = "ultrametric"
 FLAVORS = (METRIC, ULTRAMETRIC)
@@ -190,13 +193,51 @@ def _triangle_certified(m: np.ndarray, slack: float) -> bool:
     asks for 16uM).  So a certified matrix has no triple the scan would
     flag, and the verdict is the scan's.
     """
-    if not (np.finfo(float).tiny <= slack < np.inf):
+    if not (_TINY <= slack < np.inf):
         return False
-    if slack < 8 * np.finfo(float).eps * float(m.max()):
+    if slack < 8 * _EPS * float(m.max()):
         return False
     bound = squareform(m, checks=False)
     bound += slack / 2
     return bool((pdist(m, "chebyshev") <= bound).all())
+
+
+def _triangle_holds(m: np.ndarray, slack: float) -> bool:
+    """True when the triangle scan at this slack flags no triple of m,
+    a matrix that passes the entry checks: the Chebyshev certificate
+    first, the scan when it declines."""
+    return _triangle_certified(m, slack) or _first_triangle_violation(m, slack, strong=False) is None
+
+
+def _validate_built(labels, m: np.ndarray, certificate=None) -> FiniteMetricSpace:
+    """validate(labels, m) for a matrix whose construction proves the
+    triangle inequality, without the cubic check where the proof applies.
+
+    `certificate(slack)` is the construction's own check that the
+    triangle scan at the output's slack flags no triple; None means the
+    construction alone proves it.  The entry checks always run.  The
+    certificate is used only under the guard below; otherwise, and when
+    it fails, the unchanged :func:`validate` decides, so verdicts,
+    witnesses and bytes are those of the scan.  Callers pass only
+    matrices they computed themselves (never one handed in from outside).
+
+    Guard.  With M the max entry and s = DEFAULT_TOL * M the slack of
+    :func:`validate`, it asks s / 2 to be a normal float (so h = s / 2 is
+    exact) and s >= 32 * eps * M = 64uM, u = 2**-53.  The two proofs in
+    :mod:`metriclab.build` need 32.1uM (sum-form amalgam) and 8.1uM
+    (max-norm matrix).  At the default tolerance this holds unless s is
+    subnormal (M below about 4.5e-299), when the scan runs.
+    """
+    if _entry_violation(labels, m) is None:
+        top = float(m.max())
+        slack = DEFAULT_TOL * top
+        if (
+            _TINY <= slack / 2
+            and slack >= 32 * _EPS * top
+            and (certificate is None or certificate(slack))
+        ):
+            return FiniteMetricSpace(tuple(labels), m, METRIC)
+    return validate(labels, m, flavor=METRIC)
 
 
 def _entry_violation(labels, m: np.ndarray):

@@ -322,6 +322,27 @@ def linf_by_loops(coords: np.ndarray) -> np.ndarray:
     return out
 
 
+def sum_form_by_loops(host: np.ndarray, pieces, basepoints, piece_matrices) -> np.ndarray:
+    """D(x, y) = (a_x + a_y) + d(p, q) across pieces, piece entries within."""
+    n = host.shape[0]
+    owner, local = {}, {}
+    for k, piece in enumerate(pieces):
+        for position, x in enumerate(piece):
+            owner[x], local[x] = k, position
+    out = np.zeros((n, n))
+    for x in range(n):
+        for y in range(n):
+            kx, ky = owner[x], owner[y]
+            if kx == ky:
+                out[x, y] = piece_matrices[kx][local[x], local[y]]
+            else:
+                px, py = basepoints[kx], basepoints[ky]
+                arm_x = piece_matrices[kx][local[x], local[px]]
+                arm_y = piece_matrices[ky][local[y], local[py]]
+                out[x, y] = (arm_x + arm_y) + host[px, py]
+    return out
+
+
 def doubling_embedding_by_two_passes(matrix: np.ndarray, eps: float):
     """(output matrix, coordinates) of the doubling pipeline, in two full
     passes.
