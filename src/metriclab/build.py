@@ -361,10 +361,13 @@ def _relabel(space: FiniteMetricSpace, labels) -> FiniteMetricSpace:
     return FiniteMetricSpace(tuple(labels), space.matrix, flavor=space.flavor)
 
 
-def _pieces_by_size(d: FiniteMetricSpace, partition: ClopenPartition, make) -> list:
-    """Replacement spaces for the pieces.  make(labels) runs once per
-    distinct piece size, on the first piece of that size, and its space
-    is relabelled for every piece of that size."""
+def _pieces_by_size(
+    d: FiniteMetricSpace, partition: ClopenPartition, make
+) -> tuple[list, dict[int, FiniteMetricSpace]]:
+    """Replacement spaces for the pieces, and the distinct ones by size.
+    make(labels) runs once per distinct piece size, on the first piece
+    of that size, and its space is relabelled for every piece of that
+    size."""
     built: dict[int, FiniteMetricSpace] = {}
     spaces = []
     for piece in partition.pieces:
@@ -372,7 +375,7 @@ def _pieces_by_size(d: FiniteMetricSpace, partition: ClopenPartition, make) -> l
         if len(piece) not in built:
             built[len(piece)] = make(labels)
         spaces.append(_relabel(built[len(piece)], labels))
-    return spaces
+    return spaces, built
 
 
 def approximate_doubling(
@@ -435,10 +438,10 @@ def approximate_ud(
     """
     partition = carve_pieces(d, eps)
     if S is None:
-        pieces = _pieces_by_size(d, partition, lambda labels: default_metric_piece(labels, eps))
+        pieces, _ = _pieces_by_size(d, partition, lambda labels: default_metric_piece(labels, eps))
         out = amalgamate_metric(d, partition, pieces)
     else:
-        pieces = _pieces_by_size(d, partition, lambda labels: _s_valued_piece(labels, eps, S))
+        pieces, _ = _pieces_by_size(d, partition, lambda labels: _s_valued_piece(labels, eps, S))
         out = amalgamate_ultrametric(d, partition, pieces, S)
     return out, ud_modulus(out)
 
@@ -492,7 +495,7 @@ def approximate_up(
         raise TooFewPoints("approximate_up needs at least 2 points")
     partition = merge_singletons(d, carve_pieces(d, eps))
     depth = _string_depth(max(len(piece) for piece in partition.pieces))
-    piece_spaces = _pieces_by_size(
+    piece_spaces, built = _pieces_by_size(
         d, partition, lambda labels: cantor_prefix_metric(len(labels), scale=eps, depth=depth)
     )
     host_piece_diameter = max(
@@ -502,8 +505,7 @@ def approximate_up(
     eps_effective = max(eps, host_piece_diameter)
     out = amalgamate_metric(d, partition, piece_spaces)
 
-    # pieces of one size share one matrix: measure each distinct piece once
-    distinct = list({piece.n: piece for piece in piece_spaces}.values())
+    distinct = list(built.values())
     r_min = min(piece.separation for piece in distinct)
     piece_cs = [up_report(piece, r_min).c_star for piece in distinct]
     min_piece_diameter = min(piece.diameter for piece in distinct)

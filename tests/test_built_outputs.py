@@ -22,7 +22,6 @@ from metriclab import (
     approximate_up,
     carve_pieces,
     greedy_net,
-    pairwise_linf,
     random_space,
     space_to_json,
     validate,
@@ -143,17 +142,6 @@ def test_amalgam_verdicts_match_the_scan_on_planted_faults(seed):
             assert out.matrix.tobytes() == assembled.tobytes()
         else:
             _assert_scan_verdict(d, part, metrics, expected)
-
-
-def test_an_edited_max_norm_matrix_keeps_the_full_check():
-    coords = np.random.default_rng(5).uniform(0.0, 1.0, size=(24, 3))
-    matrix = pairwise_linf(coords)
-    matrix[4, 17] = matrix[17, 4] = 2.5  # max-norm diameter is below 1
-    labels = tuple(f"c{k}" for k in range(24))
-    with pytest.raises(TriangleViolation) as caught:
-        validate(labels, matrix)
-    slack = DEFAULT_TOL * float(matrix.max())
-    assert caught.value.indices == orc.first_triangle_violation_by_loops(matrix, slack, False)
 
 
 @pytest.fixture

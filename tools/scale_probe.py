@@ -8,8 +8,8 @@ and an S-valued ultrametric (`lab.random_s_ultrametric`, S geometric
 with ratio 1/2).  Each pipeline runs at eps = diameter / 8; the
 S-valued host also runs `approximate_ud` with S.  Every (host, n) case
 runs in its own process, so its `ru_maxrss` is that case's peak RSS.
-Each stage is timed `--repeats` times and the median is reported; a
-case that exceeds `--cap` seconds reads "over cap".  Uses only the
+Each stage is timed REPEATS times and the median is reported; a case
+that exceeds CAP_S seconds reads "over cap".  Uses only the
 standard library, numpy and the package.
 """
 
@@ -27,6 +27,8 @@ import time
 
 HOSTS = ("closure", "points_linf", "s_ultrametric")
 SIZES = (64, 256, 1024, 2048)
+REPEATS = 3
+CAP_S = 900.0
 
 
 def _host(kind: str, n: int):
@@ -37,7 +39,7 @@ def _host(kind: str, n: int):
     return random_space(kind, n, 0)
 
 
-def run_case(kind: str, n: int, repeats: int) -> dict:
+def run_case(kind: str, n: int) -> dict:
     """Times of each stage on one host, in this process."""
     from metriclab import (
         approximate_doubling,
@@ -55,7 +57,7 @@ def run_case(kind: str, n: int, repeats: int) -> dict:
         samples.setdefault(stage, []).append(time.perf_counter() - start)
         return result
 
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         host = timed("host", lambda: _host(kind, n))
         eps = host.diameter / 8
         timed("diagnose", lambda: diagnose(host.labels, host.matrix))
@@ -91,30 +93,27 @@ def environment() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--cap", type=float, default=900.0, help="seconds per case")
     parser.add_argument("--case", nargs=2, metavar=("HOST", "N"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.case:
         kind, n = args.case[0], int(args.case[1])
-        json.dump(run_case(kind, n, args.repeats), sys.stdout)
+        json.dump(run_case(kind, n), sys.stdout)
         return 0
     cases = []
-    for n in args.sizes:
+    for n in SIZES:
         for kind in HOSTS:
-            command = [sys.executable, __file__, "--out", "-", "--repeats", str(args.repeats)]
+            command = [sys.executable, __file__, "--out", "-"]
             try:
                 done = subprocess.run(
                     command + ["--case", kind, str(n)],
-                    capture_output=True, text=True, timeout=args.cap, check=True,
+                    capture_output=True, text=True, timeout=CAP_S, check=True,
                 )
             except subprocess.TimeoutExpired:
-                cases.append({"host": kind, "n": n, "over_cap_s": args.cap})
+                cases.append({"host": kind, "n": n, "over_cap_s": CAP_S})
             else:
                 cases.append(json.loads(done.stdout))
             print(json.dumps(cases[-1].get("median_s", cases[-1])), kind, n, file=sys.stderr)
-    report = {"environment": environment(), "repeats": args.repeats, "cases": cases}
+    report = {"environment": environment(), "repeats": REPEATS, "cases": cases}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
