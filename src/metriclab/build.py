@@ -21,14 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .cantor import _ladder_space, _string_depth, cantor_prefix_metric, geometric_prefix_ultrametric
-from .errors import NotUltrametric, PieceMismatch, TooFewPoints, ValueOutsideRangeSet
+from .cantor import _s_ladder_space, _string_depth, cantor_prefix_metric, geometric_prefix_ultrametric
+from .errors import DegenerateSpace, PieceMismatch, TooFewPoints
 from .moduli import UDReport, ud_modulus, up_report
-from .rangesets import RangeSet, contains, greatest_leq, ladder
+from .rangesets import RangeSet, geometric_range_set
 from .spaces import (
-    DEFAULT_TOL,
     ULTRAMETRIC,
     FiniteMetricSpace,
+    _require_s_valued,
     _triangle_holds,
     _validate_built,
     validate,
@@ -273,20 +273,13 @@ def amalgamate_ultrametric(
 ) -> FiniteMetricSpace:
     """Max-form amalgam over a range set S.
 
-    The host and every piece must be ultrametric with values in S; the
-    output takes maxima of existing values only, so it stays S-valued.
+    The host and every piece must be S-valued ultrametrics by
+    :func:`metriclab.spaces._require_s_valued`; the output takes maxima
+    of existing values only, so it stays S-valued.
     """
-    if d.flavor != ULTRAMETRIC:
-        raise NotUltrametric("the host of a max-form amalgam must be ultrametric")
-    for k, metric in enumerate(pieces_metrics):
-        if metric.flavor != ULTRAMETRIC:
-            raise NotUltrametric(f"piece {k} is not ultrametric-flavored")
     _check_pieces(d, partition, pieces_metrics)
-    slack = DEFAULT_TOL * max(1.0, float(d.matrix.max()))
-    for matrix in [d.matrix] + [m.matrix for m in pieces_metrics]:
-        for v in np.unique(matrix):
-            if v > 0 and not contains(S, float(v), tol=slack):
-                raise ValueOutsideRangeSet(f"value {v!r} is not in the range set")
+    named = [("the host", d)] + [(f"piece {k}", m) for k, m in enumerate(pieces_metrics)]
+    _require_s_valued(named, S)
     matrix = _assemble(
         d, partition, pieces_metrics, lambda a, m, b: np.maximum(np.maximum(a, m), b)
     )
@@ -429,33 +422,26 @@ def approximate_ud(
     """Replace d by a uniformly disconnected metric within 4 * eps.
 
     Pieces of diameter <= eps are carved greedily and replaced by
-    geometric sequential ultrametrics of diameter <= eps
-    (:func:`default_metric_piece`), then glued by the sum form.  When a
-    range set S is given the host must be an S-valued ultrametric; the
-    pieces take their rungs from S and the max form is used instead,
-    moving d by at most eps in the range-set ultrametric distance.  The
-    measured disconnectedness modulus of the output ships with it.
+    sequential ultrametrics with rungs from a range set below eps
+    (:func:`metriclab.cantor._s_ladder_space`): by default
+    geometric_range_set(0.5, eps), glued by the sum form.  When a range
+    set S is given the host must be an S-valued ultrametric; the pieces
+    take their rungs from S and the max form is used instead, moving d
+    by at most eps in the range-set ultrametric distance.  The measured
+    disconnectedness modulus of the output ships with it.
     """
+    if d.n < 2:
+        raise DegenerateSpace("approximate_ud needs at least 2 points")
     partition = carve_pieces(d, eps)
+    rungs_from = geometric_range_set(0.5, eps) if S is None else S
+    pieces, _ = _pieces_by_size(
+        d, partition, lambda labels: _s_ladder_space(labels, eps, rungs_from)
+    )
     if S is None:
-        pieces, _ = _pieces_by_size(d, partition, lambda labels: default_metric_piece(labels, eps))
         out = amalgamate_metric(d, partition, pieces)
     else:
-        pieces, _ = _pieces_by_size(d, partition, lambda labels: _s_valued_piece(labels, eps, S))
         out = amalgamate_ultrametric(d, partition, pieces, S)
     return out, ud_modulus(out)
-
-
-def _s_valued_piece(labels, eps: float, S: RangeSet) -> FiniteMetricSpace:
-    """Sequential ultrametric on len(labels) points with rungs from S,
-    diameter = greatest element of S below eps."""
-    count = len(labels)
-    if count == 1:
-        return FiniteMetricSpace(tuple(labels), np.zeros((1, 1)), flavor=ULTRAMETRIC)
-    top = greatest_leq(S, eps)
-    if top == 0.0:
-        raise ValueOutsideRangeSet(f"no positive element of S lies below {eps!r}")
-    return _ladder_space(ladder(S, top, _string_depth(count)), tuple(labels))
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenerationFailed, SequenceTooShort
+from .errors import GenerationFailed, SequenceTooShort, ValueOutsideRangeSet
 from .moduli import Thresholds, classify
-from .rangesets import ShrinkingSequence
+from .rangesets import RangeSet, ShrinkingSequence, geometric_range_set, greatest_leq, ladder
 from .spaces import METRIC, ULTRAMETRIC, FiniteMetricSpace, validate
 
 # 2**depth points give a depth**2 * 4**depth footprint; 12 keeps the
@@ -65,13 +65,9 @@ def _valuation_matrix(depth: int) -> np.ndarray:
     The value `depth` stands in for the infinite v(x, x) of equal
     strings so the matrix can index a length-(depth+1) lookup table.
     """
-    count = 1 << depth
-    bit_length = np.zeros(count, dtype=np.int64)
-    for k in range(1, count):
-        bit_length[k] = bit_length[k >> 1] + 1
-    ids = np.arange(count, dtype=np.int64)
-    xor = ids[:, None] ^ ids[None, :]
-    return depth - bit_length[xor]
+    ids = np.arange(1 << depth, dtype=np.int64)
+    # frexp's exponent of k > 0 is its bit length (exact for k < 2**53); frexp(0) is (0, 0)
+    return depth - np.frexp(ids[:, None] ^ ids[None, :])[1]
 
 
 def _rung_matrix(rungs, count: int) -> np.ndarray:
@@ -94,9 +90,22 @@ def _prefix_labels(count: int, depth: int) -> tuple[str, ...]:
 def _ladder_space(rungs, labels) -> FiniteMetricSpace:
     """Validated ultrametric d(x, y) = rungs[v(x, y)] on the
     first len(labels) strings of depth len(rungs), named by `labels`."""
-    if len(labels) == 1:  # nothing to check; validate's fixed cost would dominate
-        return FiniteMetricSpace(labels, np.zeros((1, 1)), flavor=ULTRAMETRIC)
     return validate(labels, _rung_matrix(rungs, len(labels)), flavor=ULTRAMETRIC)
+
+
+def _s_ladder_space(labels, top: float, S: RangeSet) -> FiniteMetricSpace:
+    """Sequential ultrametric on len(labels) strings whose rungs are
+    consecutive elements of S (:func:`metriclab.rangesets.ladder`), the
+    first being the greatest element of S <= top; a single point is
+    the zero space.  Raises ValueOutsideRangeSet when S has no positive
+    element <= top."""
+    count = len(labels)
+    if count == 1:
+        return FiniteMetricSpace(tuple(labels), np.zeros((1, 1)), flavor=ULTRAMETRIC)
+    first = greatest_leq(S, top)
+    if first == 0.0:
+        raise ValueOutsideRangeSet(f"no positive element of S lies below {top!r}")
+    return _ladder_space(ladder(S, first, _string_depth(count)), tuple(labels))
 
 
 def _gapped_rungs(depth: int, top: float = 1.0) -> list[float]:
@@ -152,16 +161,16 @@ def cantor_prefix_metric(count: int, scale: float = 1.0, depth: int | None = Non
 def geometric_prefix_ultrametric(count: int, top: float) -> FiniteMetricSpace:
     """Sequential ultrametric of diameter `top` on the first `count` strings.
 
-    Distances are top * 0.5**v(x, y), so the output is an
-    ultrametric whose values form a geometric ladder; used as the
-    default replacement piece in the approximation pipelines.
+    Distances are top * 0.5**v(x, y): the S-valued ladder of
+    S = geometric_range_set(0.5, top), the default replacement piece in
+    the approximation pipelines.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if not top > 0:
         raise ValueError("top must be positive")
-    depth = _string_depth(count)
-    return _ladder_space(top * 0.5 ** np.arange(depth, dtype=float), _prefix_labels(count, depth))
+    labels = _prefix_labels(count, _string_depth(count))
+    return _s_ladder_space(labels, top, geometric_range_set(0.5, top))
 
 
 def _point_labels(n: int) -> tuple[str, ...]:

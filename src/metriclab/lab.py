@@ -59,7 +59,7 @@ from .moduli import (
     ud_modulus,
     up_report,
 )
-from .rangesets import RangeSet, geometric_range_set
+from .rangesets import RangeSet, _element, geometric_range_set
 from .spaces import (
     METRIC,
     ULTRAMETRIC,
@@ -226,7 +226,7 @@ def random_s_ultrametric(size: int, S: RangeSet, seed) -> FiniteMetricSpace:
     rng = np.random.default_rng(seed)
     depth = _string_depth(size)
     exponents = np.sort(rng.choice(2 * depth, size=depth, replace=False))
-    rungs = [S.scale * S.ratio ** int(e) for e in exponents]
+    rungs = [_element(S, int(e)) for e in exponents]
     return _ladder_space(rungs, _prefix_labels(size, depth))
 
 
@@ -285,9 +285,9 @@ def _dense_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
         holds = report.delta_star > 0
         after = {"delta_star": report.delta_star}
     if S is None:
-        achieved, bound = sup_distance(out, host).value, 4 * scale
+        achieved, bound = sup_distance(out, host), 4 * scale
     else:
-        achieved, bound = ultra_distance(out, host, S).value, scale
+        achieved, bound = ultra_distance(out, host, S), scale
     if modulus not in after:
         after[modulus] = _modulus(modulus, out, config.thresholds)
     return TrialRecord(
@@ -358,7 +358,7 @@ def _perturb_uniform_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
     off = perturbed.matrix[~np.eye(config.n, dtype=bool)]
     min_diam_ratio = float(off.min())
     max_sep_ratio = float(off.max())
-    achieved = sup_distance(perturbed, base).value
+    achieved = sup_distance(perturbed, base)
     passed = achieved < 0.5 and min_diam_ratio >= 0.5 and max_sep_ratio <= 2.0
     return TrialRecord(
         trial=trial,
@@ -384,9 +384,7 @@ def _perturb_chain_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
     perturbed = validate(_point_labels(n), matrix, flavor=METRIC)
     base_mod = ud_modulus(base).delta_star
     pert_mod = ud_modulus(perturbed).delta_star
-    passed = (
-        sup_distance(perturbed, base).value < 0.5 and pert_mod <= 4 * base_mod
-    )
+    passed = sup_distance(perturbed, base) < 0.5 and pert_mod <= 4 * base_mod
     return TrialRecord(
         trial=trial,
         digest=matrix_digest(perturbed),
@@ -517,7 +515,7 @@ def run_type_grid(config: ExperimentConfig) -> list[dict]:
             amalgam = amalgamate_metric(host, partition, pieces)
             measured = classify(amalgam, thresholds=config.thresholds)
             row["amalgam"] = "".join(str(b) for b in measured.bits)
-            row["sup_distance"] = sup_distance(amalgam, host).value
+            row["sup_distance"] = sup_distance(amalgam, host)
             row["epsilon"] = eps
             row["pass"] = bool(
                 measured.bits == target and row["sup_distance"] <= 4 * eps

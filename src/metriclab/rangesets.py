@@ -257,12 +257,8 @@ def exponential_sequence(S: RangeSet, b: float, big_m: float, length: int) -> Sh
         )
     p = -math.log(big_m) / math.log(b)
     a = b ** (2 * p + 1)
-    values = []
-    for n in range(length):
-        v = least_geq(S, a**n / big_m)
-        if math.isinf(v):
-            raise WindowMiss(f"no element of S >= {a**n / big_m!r}", index=n)
-        values.append(v)
+    # a**n / M <= 1 / M, and window 0 put least_geq(S, 1 / M) <= M: every pick is finite
+    values = [least_geq(S, a**n / big_m) for n in range(length)]
     if any(y >= x for x, y in zip(values, values[1:])):
         raise WindowMiss("picked values are not strictly decreasing")
     return ShrinkingSequence(tuple(values), realized_envelope(values, a))

@@ -43,9 +43,6 @@ METRIC = "metric"
 ULTRAMETRIC = "ultrametric"
 FLAVORS = (METRIC, ULTRAMETRIC)
 
-SUP_METRIC = "sup_metric"
-ULTRA_METRIC_OVER_S = "ultra_metric_over_S"
-
 
 @dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
@@ -90,20 +87,6 @@ class FiniteMetricSpace:
             raise SeparationUndefined("separation needs at least 2 points")
         off = ~np.eye(self.n, dtype=bool)
         return float(self.matrix[off].min())
-
-
-@dataclass(frozen=True)
-class MetricDistance:
-    """A distance between two metrics on a common label list."""
-
-    value: float
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in (SUP_METRIC, ULTRA_METRIC_OVER_S):
-            raise ValueError(f"unknown distance kind {self.kind!r}")
-        if not (self.value >= 0):
-            raise ValueError("distance value must be nonnegative")
 
 
 def _subdominant_ultrametric(matrix: np.ndarray) -> np.ndarray:
@@ -345,11 +328,29 @@ def _require_shared_labels(d: FiniteMetricSpace, e: FiniteMetricSpace):
         )
 
 
-def sup_distance(d: FiniteMetricSpace, e: FiniteMetricSpace) -> MetricDistance:
+def sup_distance(d: FiniteMetricSpace, e: FiniteMetricSpace) -> float:
     """Largest absolute difference of distances over all pairs."""
     _require_shared_labels(d, e)
-    value = float(np.abs(d.matrix - e.matrix).max())
-    return MetricDistance(value, SUP_METRIC)
+    return float(np.abs(d.matrix - e.matrix).max())
+
+
+def _require_s_valued(named, S: RangeSet, tol: float = DEFAULT_TOL) -> None:
+    """Raise unless every (name, space) in `named` is ultrametric-flavored
+    with every entry in S within tol * (the largest entry of them all).
+
+    This is the one rule for "an S-valued ultrametric" that the distance
+    over S and the max-form amalgam share.  Each matrix is read once, by
+    np.unique, whose last value is its largest entry.
+    """
+    for name, space in named:
+        if space.flavor != ULTRAMETRIC:
+            raise NotUltrametric(f"{name} is not ultrametric-flavored")
+    values = [(name, np.unique(space.matrix)) for name, space in named]
+    slack = tol * max(float(unique[-1]) for _, unique in values)
+    for name, unique in values:
+        for value in unique.tolist():
+            if not contains(S, value, slack):
+                raise ValueOutsideRangeSet(f"{name} has value {value!r} outside S")
 
 
 def ultra_distance(
@@ -357,33 +358,21 @@ def ultra_distance(
     e: FiniteMetricSpace,
     S: RangeSet,
     tol: float = DEFAULT_TOL,
-) -> MetricDistance:
+) -> float:
     """Least element of S (or +inf) covering every differing pair.
 
     For S-valued ultrametrics d, e this equals the least epsilon in
     S u {inf} with d <= max(e, epsilon) and e <= max(d, epsilon)
     pairwise: epsilon must dominate M = max over differing pairs of
     max(d, e), and the answer is the least element of S >= M (0 when
-    d = e).  Inputs must be ultrametric-flavored with S-valued entries
-    (within tol * scale).
+    d = e).  Both inputs must pass :func:`_require_s_valued` at tol.
     """
     _require_shared_labels(d, e)
-    if d.flavor != ULTRAMETRIC or e.flavor != ULTRAMETRIC:
-        raise NotUltrametric("ultra_distance needs ultrametric-flavored spaces")
-    scale = max(d.diameter, e.diameter)
-    slack = tol * scale
-    off = ~np.eye(d.n, dtype=bool)
-    for name, space in (("first", d), ("second", e)):
-        for value in np.unique(space.matrix[off]):
-            if not contains(S, float(value), slack):
-                raise ValueOutsideRangeSet(
-                    f"{name} space has off-diagonal value {value!r} outside S"
-                )
+    _require_s_valued((("the first space", d), ("the second space", e)), S, tol)
     differ = d.matrix != e.matrix
     if not differ.any():
-        return MetricDistance(0.0, ULTRA_METRIC_OVER_S)
-    m_needed = float(np.maximum(d.matrix, e.matrix)[differ].max())
-    return MetricDistance(float(least_geq(S, m_needed)), ULTRA_METRIC_OVER_S)
+        return 0.0
+    return least_geq(S, float(np.maximum(d.matrix, e.matrix)[differ].max()))
 
 
 def metric_closure(labels, raw) -> FiniteMetricSpace:

@@ -75,7 +75,7 @@ def _metric_amalgams(mode: str, n: int, seed: int) -> list[tuple[int, float]]:
         ]
         assert all(piece.diameter <= eps for piece in pieces)
         out = amalgamate_metric(host, partition, pieces)
-        sup = sup_distance(out, host).value
+        sup = sup_distance(out, host)
         assert sup <= SUP_BOUND_FACTOR * eps
         for k, piece in enumerate(partition.pieces):
             block = out.matrix[np.ix_(piece, piece)]
@@ -116,7 +116,7 @@ def test_criterion_2_ultrametric_amalgamation_bound():
         host = random_s_ultrametric(64, S, rng)
         eps = host.diameter / 8.0
         out, report = approximate_ud(host, eps, S=S)
-        assert ultra_distance(out, host, S).value <= eps
+        assert ultra_distance(out, host, S) <= eps
         assert report.delta_star > 0
         assert diagnose(out.labels, out.matrix, flavor="ultrametric", tol=0.0) is None
     _verdict(
@@ -135,7 +135,7 @@ def _doubling_approximations(mode: str, n: int, seed: int) -> list[tuple[int, fl
         host = random_space(mode, n, rng)
         eps = host.diameter / 8.0
         out, embedding = approximate_doubling(host, eps)
-        sup = sup_distance(out, host).value
+        sup = sup_distance(out, host)
         assert sup <= SUP_BOUND_FACTOR * eps
         linf = embedding.pairwise_linf()
         assert np.array_equal(out.matrix, linf)
@@ -211,7 +211,7 @@ def test_criterion_4_oracle_equivalences():
     for trial in range(40):
         rng = trial_rng(13, trial)
         d, e = ladder(rng), ladder(rng)
-        lib = ultra_distance(d, e, S).value
+        lib = ultra_distance(d, e, S)
         ref = orc.ultra_dist(d.matrix, e.matrix, s_values)
         assert lib == ref
     _verdict(

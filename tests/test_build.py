@@ -169,7 +169,7 @@ def test_amalgamate_metric_is_exactly_symmetric_on_random_hosts():
         ]
         out = amalgamate_metric(host, partition, pieces)
         assert np.array_equal(out.matrix, out.matrix.T)
-        assert sup_distance(out, host).value <= 4 * eps
+        assert sup_distance(out, host) <= 4 * eps
 
 
 def test_amalgamate_metric_piece_mismatch():
@@ -232,6 +232,62 @@ def test_amalgamate_ultrametric_rejects_off_s_values():
     )
     with pytest.raises(ValueOutsideRangeSet):
         amalgamate_ultrametric(host, partition, (off, pieces[1]), S)
+
+
+def _scaled_ultra_fixture(k, planted):
+    """Host with entries 2**k across and 2**(k - 1) within its pieces
+    (0, 1) and (2, 3); the pieces at `planted` and 2**(k - 2); and the
+    max-form amalgam they make, built by hand."""
+    top = 2.0**k
+    host = np.full((4, 4), top)
+    host[:2, :2] = host[2:, 2:] = top / 2
+    np.fill_diagonal(host, 0.0)
+    amalgam = host.copy()
+    amalgam[0, 1] = amalgam[1, 0] = planted
+    amalgam[2, 3] = amalgam[3, 2] = top / 4
+    pieces = tuple(
+        validate(_labels(4)[lo : lo + 2], amalgam[lo : lo + 2, lo : lo + 2], flavor="ultrametric")
+        for lo in (0, 2)
+    )
+    return (
+        validate(_labels(4), host, flavor="ultrametric"),
+        ClopenPartition(((0, 1), (2, 3)), (0, 2)),
+        pieces,
+        validate(_labels(4), amalgam, flavor="ultrametric"),
+    )
+
+
+def test_amalgamate_ultrametric_slack_is_relative_to_the_largest_entry():
+    # 3e-13 lies between 2**-42 and 2**-41, 7.3e-14 from the nearest element
+    # of S: far outside 1e-9 of the 2**-40 host's scale.
+    S = geometric_range_set(0.5)
+    host, partition, pieces, amalgam = _scaled_ultra_fixture(-40, 3e-13)
+    with pytest.raises(ValueOutsideRangeSet, match="^piece 0 has value 3e-13 outside S$"):
+        amalgamate_ultrametric(host, partition, pieces, S)
+    with pytest.raises(ValueOutsideRangeSet):
+        ultra_distance(amalgam, host, S)
+
+
+def test_amalgamate_ultrametric_accepts_what_ultra_distance_accepts():
+    S = geometric_range_set(0.5)
+    verdicts = set()
+    for k in range(-60, 21):
+        for delta in (0.0, 1e-12, -1e-12, 3e-9, -3e-9, 5e-9, -5e-9, 1e-6, -1e-6, 0.25):
+            planted = 2.0 ** (k - 2) * (1 + delta)
+            host, partition, pieces, amalgam = _scaled_ultra_fixture(k, planted)
+            try:
+                ultra_distance(amalgam, host, S)
+                accepted = True
+            except ValueOutsideRangeSet:
+                accepted = False
+            verdicts.add(accepted)
+            if accepted:
+                out = amalgamate_ultrametric(host, partition, pieces, S)
+                assert out.matrix.tobytes() == amalgam.matrix.tobytes()
+            else:
+                with pytest.raises(ValueOutsideRangeSet):
+                    amalgamate_ultrametric(host, partition, pieces, S)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +377,7 @@ def test_approximate_doubling_certificate():
         host = random_space("closure", 16, rng)
         eps = host.diameter / 8
         out, emb = approximate_doubling(host, eps)
-        assert sup_distance(out, host).value <= 4 * eps
+        assert sup_distance(out, host) <= 4 * eps
         # the output metric IS the max-norm metric of the coordinates
         assert np.array_equal(out.matrix, emb.pairwise_linf())
         net = greedy_net(host, eps)
@@ -373,7 +429,7 @@ def test_approximate_doubling_embeds_a_slack_only_host_by_its_own_columns():
     out, emb = approximate_doubling(host, eps)
     assert emb.coordinates[:, :-1].tobytes() == host.matrix[:, net].tobytes()
     assert out.matrix.tobytes() == orc.linf_by_loops(emb.coordinates).tobytes()
-    assert sup_distance(out, host).value <= 4 * eps
+    assert sup_distance(out, host) <= 4 * eps
 
 
 def test_approximate_ud_metric_path():
@@ -382,7 +438,7 @@ def test_approximate_ud_metric_path():
         host = grid_host(20, rng)
         eps = host.diameter / 8
         out, report = approximate_ud(host, eps)
-        assert sup_distance(out, host).value <= 4 * eps
+        assert sup_distance(out, host) <= 4 * eps
         assert report.delta_star == ud_modulus(out).delta_star
         assert report.delta_star > 0
         # carved pieces carry the default replacement piece bit-exactly
@@ -400,7 +456,7 @@ def test_approximate_ud_rangeset_path():
         host = random_s_ultrametric(16, S, rng)
         eps = 0.125  # an element of S
         out, report = approximate_ud(host, eps, S=S)
-        assert ultra_distance(out, host, S).value <= eps
+        assert ultra_distance(out, host, S) <= eps
         assert diagnose(out.labels, out.matrix, flavor="ultrametric", tol=0.0) is None
         assert report.delta_star == 1.0  # the output is an ultrametric
         for v in np.unique(out.matrix):
@@ -415,7 +471,7 @@ def test_approximate_up_even_pieces_meet_the_bound():
     assert report.piece_c_min > 0
     assert report.bound > 0
     assert report.c_star >= report.bound
-    assert sup_distance(out, host).value <= 4 * report.eps_effective
+    assert sup_distance(out, host) <= 4 * report.eps_effective
     assert report.r_min == cantor_prefix_metric(4, scale=eps, depth=2).separation
 
 

@@ -13,7 +13,6 @@ from metriclab import (
     MetricLabError,
     SequenceTooShort,
     ShrinkingSequence,
-    build,
     cantor,
     cantor_prefix_metric,
     default_metric_piece,
@@ -217,7 +216,7 @@ def _binary_string_outputs():
         yield _geometric_ladder, (count, 0.125, 0.3)
         yield default_metric_piece, (labels, 0.7)
         for S in range_sets:
-            yield build._s_valued_piece, (labels, 0.3, S)
+            yield cantor._s_ladder_space, (labels, 0.3, S)
     for depth in range(-1, 9):
         yield _all_strings_metric, (depth, 3.0)
         yield sequential_metric, (ShrinkingSequence((1.0, 0.5, 0.3, 0.2, 0.1)), depth)
@@ -226,8 +225,8 @@ def _binary_string_outputs():
     yield _all_strings_metric, (3, 0.0)
     yield geometric_prefix_ultrametric, (0, 1.0)
     yield geometric_prefix_ultrametric, (4, 0.0)
-    yield build._s_valued_piece, (("a",), 1e-9, range_sets[1])
-    yield build._s_valued_piece, (("a", "b"), 1e-9, range_sets[1])
+    yield cantor._s_ladder_space, (("a",), 1e-9, range_sets[1])
+    yield cantor._s_ladder_space, (("a", "b"), 1e-9, range_sets[1])
     for seed in range(3):
         for size in (2, 3, 5, 16, 17, 64, 65, 129):
             yield lab.random_space, ("sequential", size, seed)

@@ -222,7 +222,7 @@ def test_approximate_doubling_payload(tmp_path, capsys):
     eps = payload["epsilon"]
     assert eps == 0.125 * space.diameter
     out = space_from_json(payload["space"])
-    assert sup_distance(out, space).value <= 4 * eps
+    assert sup_distance(out, space) <= 4 * eps
     embedding = Embedding(payload["embedding"]["coordinates"])
     assert embedding.dimension == payload["embedding"]["dimension"]
     assert embedding.count == space.n
@@ -278,7 +278,7 @@ def test_approximate_up_payload(tmp_path, capsys):
     assert payload["r_min"] > 0
     out = space_from_json(payload["space"])
     host = space_from_json(host_json)
-    assert sup_distance(out, host).value <= 4 * payload["eps_effective"]
+    assert sup_distance(out, host) <= 4 * payload["eps_effective"]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 
 import oracles as orc
 from metriclab import (
+    DegenerateSpace,
     ExperimentConfig,
     Thresholds,
     TrialRecord,
@@ -427,6 +428,46 @@ def test_perturb_chain_small_run():
     for row in report["rows"]:
         assert row["before_delta_star"] == 1.0 / 8.0
         assert row["bound"] == 4.0 / 8.0
+        assert row["achieved"] <= row["bound"]
+
+
+def test_a_library_error_becomes_a_failed_row(monkeypatch):
+    def fail(host, eps, S=None):
+        raise DegenerateSpace("planted")
+
+    monkeypatch.setattr(lab, "approximate_ud", fail)
+    report = run_experiment(ExperimentConfig("dense_ud", n=8, trials=2, seed=36))
+    assert report["summary"]["passes"] == 0
+    assert report["summary"]["all_pass"] is False
+    rows = json.loads(render_report(report, "json"))["rows"]
+    assert rows == [
+        {
+            "trial": trial,
+            "digest": "",
+            "epsilon": None,
+            "achieved": None,
+            "bound": None,
+            "pass": False,
+            "error": "DegenerateSpace: planted",
+        }
+        for trial in range(2)
+    ]
+    assert render_report(report, "csv") == (
+        "achieved,bound,digest,epsilon,error,pass,trial\n"
+        ",,,,DegenerateSpace: planted,false,0\n"
+        ",,,,DegenerateSpace: planted,false,1\n"
+    )
+
+
+def test_absolute_epsilon_is_used_as_given():
+    config = ExperimentConfig(
+        "dense_ud", n=16, epsilon=0.05, epsilon_mode="absolute", trials=2, seed=37
+    )
+    report = run_experiment(config)
+    assert report["summary"]["all_pass"]
+    for row in report["rows"]:
+        assert row["epsilon"] == 0.05
+        assert row["bound"] == 4 * 0.05
         assert row["achieved"] <= row["bound"]
 
 

@@ -373,8 +373,7 @@ def test_sup_distance_frozen_triangles():
     d = validate(_labels(3), np.array([[0, 1, 3], [1, 0, 2], [3, 2, 0]], float))
     e = validate(_labels(3), np.array([[0, 2, 5], [2, 0, 3], [5, 3, 0]], float))
     got = sup_distance(d, e)
-    assert got.value == orc.FROZEN["sup_triangles"] == orc.sup_dist(d.matrix, e.matrix)
-    assert got.kind == "sup_metric"
+    assert got == orc.FROZEN["sup_triangles"] == orc.sup_dist(d.matrix, e.matrix)
 
 
 def test_sup_distance_is_a_metric_on_random_triples():
@@ -384,11 +383,11 @@ def test_sup_distance_is_a_metric_on_random_triples():
         d = random_space("closure", n, rng)
         e = random_space("closure", n, rng)
         f = random_space("closure", n, rng)
-        assert sup_distance(d, d).value == 0.0
-        assert sup_distance(d, e).value == sup_distance(e, d).value
+        assert sup_distance(d, d) == 0.0
+        assert sup_distance(d, e) == sup_distance(e, d)
         assert (
-            sup_distance(d, f).value
-            <= sup_distance(d, e).value + sup_distance(e, f).value
+            sup_distance(d, f)
+            <= sup_distance(d, e) + sup_distance(e, f)
         )
 
 
@@ -405,7 +404,7 @@ def test_sup_distance_matches_oracle_on_random_pairs():
         n = int(rng.integers(2, 9))
         d = random_space("closure", n, rng)
         e = random_space("points_linf", n, rng)
-        assert sup_distance(d, e).value == orc.sup_dist(d.matrix, e.matrix)
+        assert sup_distance(d, e) == orc.sup_dist(d.matrix, e.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +414,7 @@ def test_sup_distance_matches_oracle_on_random_pairs():
 def test_ultra_distance_zero_on_equal_inputs():
     S = geometric_range_set(0.5)
     d = random_s_ultrametric(8, S, trial_rng(14, 0))
-    assert ultra_distance(d, d, S).value == 0.0
+    assert ultra_distance(d, d, S) == 0.0
 
 
 def test_ultra_distance_frozen_pair_2_3_rounds_up_to_4():
@@ -429,9 +428,8 @@ def test_ultra_distance_frozen_pair_2_3_rounds_up_to_4():
     with pytest.raises(ValueOutsideRangeSet):
         ultra_distance(d, e, S)
     got = ultra_distance(d, e, S, tol=0.5)
-    assert got.value == orc.FROZEN["ultra_single_pair"]
-    assert got.value == orc.ultra_dist(d.matrix, e.matrix, [0.0, 1.0, 4.0, 8.0])
-    assert got.kind == "ultra_metric_over_S"
+    assert got == orc.FROZEN["ultra_single_pair"]
+    assert got == orc.ultra_dist(d.matrix, e.matrix, [0.0, 1.0, 4.0, 8.0])
 
 
 def test_ultra_distance_is_infinite_past_the_top_of_s():
@@ -439,7 +437,7 @@ def test_ultra_distance_is_infinite_past_the_top_of_s():
     d = validate(("a", "b"), np.array([[0.0, 8.0], [8.0, 0.0]]), flavor="ultrametric")
     e = validate(("a", "b"), np.array([[0.0, 9.0], [9.0, 0.0]]), flavor="ultrametric")
     got = ultra_distance(d, e, S, tol=0.5)  # 9 admitted by the loose tolerance
-    assert got.value == np.inf
+    assert got == np.inf
     assert orc.ultra_dist(d.matrix, e.matrix, [0.0, 1.0, 4.0, 8.0]) == np.inf
 
 
@@ -460,7 +458,7 @@ def test_ultra_distance_closed_form_equals_brute_scan():
     for _ in range(40):
         d = _random_explicit_ultrametric(values, 3, rng)
         e = _random_explicit_ultrametric(values, 3, rng)
-        assert ultra_distance(d, e, S).value == orc.ultra_dist(d.matrix, e.matrix, values)
+        assert ultra_distance(d, e, S) == orc.ultra_dist(d.matrix, e.matrix, values)
 
 
 def test_ultra_distance_strong_triangle_on_random_triples():
@@ -471,9 +469,9 @@ def test_ultra_distance_strong_triangle_on_random_triples():
         d = _random_explicit_ultrametric(values, 3, rng)
         e = _random_explicit_ultrametric(values, 3, rng)
         f = _random_explicit_ultrametric(values, 3, rng)
-        df = ultra_distance(d, f, S).value
-        de = ultra_distance(d, e, S).value
-        ef = ultra_distance(e, f, S).value
+        df = ultra_distance(d, f, S)
+        de = ultra_distance(d, e, S)
+        ef = ultra_distance(e, f, S)
         assert df <= max(de, ef)
 
 
