@@ -167,6 +167,8 @@ def geometric_prefix_ultrametric(count: int, top: float) -> FiniteMetricSpace:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if not math.isfinite(top):
+        raise ValueError("top must be positive and finite")
     if not top > 0:
         raise ValueError("top must be positive")
     labels = _prefix_labels(count, _string_depth(count))

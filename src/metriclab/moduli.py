@@ -18,6 +18,7 @@ returns the resulting bit vector.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import asdict, dataclass, field, fields
 
@@ -34,6 +35,14 @@ EXHAUSTIVE_LIMIT = 15
 # the bound and the ratio each carry a few ulps of ``**`` rounding error,
 # far inside 1e-12, so nothing that could tie or beat the best is skipped.
 _BOUND_MARGIN = 1 + 1e-12
+
+# Matrix entries the doubling search gathers per chunk while it bounds
+# its random subsets (or one subset's, when n is larger): each of a
+# chunk's temporaries is 32 KiB at most.
+_BOUND_CHUNK = 1 << 12
+
+# Draw tables (see :func:`_draw_subsets`) kept per process.
+_DRAW_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -255,6 +264,59 @@ def _ball_prefix_candidates(matrix: np.ndarray, beta: float, floor, extremes):
         yield float(ratios[k]), tuple(np.sort(order[: k + 2]).tolist())
 
 
+def _draw_subsets(generator: np.random.Generator, n: int, budget: int):
+    """`budget` random subsets of range(n), drawn as the doubling search
+    draws them: integers(2, n + 1) for the size k, then
+    choice(n, size=k, replace=False), one subset after the other.
+
+    Returns read-only (sizes, flat): the sizes, and every draw in order
+    concatenated, in the smallest unsigned dtype that holds n - 1.
+    """
+    dtype = np.min_scalar_type(n - 1)
+    sizes = np.empty(budget, dtype=np.intp)
+    draws = [np.empty(0, dtype)]
+    for i in range(budget):
+        k = int(generator.integers(2, n + 1))
+        sizes[i] = k
+        draws.append(generator.choice(n, size=k, replace=False).astype(dtype))
+    flat = np.concatenate(draws)
+    sizes.flags.writeable = flat.flags.writeable = False
+    return sizes, flat
+
+
+@functools.lru_cache(maxsize=_DRAW_CACHE_SIZE)
+def _seeded_draws(seed: int, n: int, budget: int):
+    return _draw_subsets(np.random.default_rng(seed), n, budget)
+
+
+def _arm_bounds(matrix: np.ndarray, beta: float, sizes: np.ndarray, flat: np.ndarray):
+    """Arm bound k * (min arm / max arm)**beta of every drawn subset.
+
+    The arm of a subset A = (a_0, ..., a_{k-1}) is d(a_0, a) over its
+    other points a.  Subsets are taken max(1, _BOUND_CHUNK // n) at a
+    time, so a chunk holds at most max(n, _BOUND_CHUNK) drawn points.
+    Each chunk is one gather of d(a_0, a) over all its points (a_0's own
+    0 included), then ``maximum.reduceat`` per subset and, with that 0
+    set to inf, ``minimum.reduceat``.  Returns the bounds and each
+    subset's offset into `flat`.
+    """
+    n = matrix.shape[0]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    bounds = np.empty(sizes.size)
+    step = max(1, _BOUND_CHUNK // n)
+    for lo in range(0, sizes.size, step):
+        hi = min(lo + step, sizes.size)
+        points = flat[starts[lo] : ends[hi - 1]]
+        heads = starts[lo:hi] - starts[lo]
+        arms = matrix[np.repeat(points[heads], sizes[lo:hi]), points]
+        longest = np.maximum.reduceat(arms, heads)
+        arms[heads] = np.inf
+        shortest = np.minimum.reduceat(arms, heads)
+        bounds[lo:hi] = sizes[lo:hi] * (shortest / longest) ** beta
+    return bounds, starts
+
+
 def doubling_constant(
     space: FiniteMetricSpace,
     beta: float,
@@ -269,14 +331,30 @@ def doubling_constant(
     sorted-row ball prefixes; the result is then a lower bound for the
     true constant and the report says so via mode="sampled".
 
+    The random subsets depend on (rng, n, budget) only, never on the
+    matrix, so they are drawn into one table (:func:`_draw_subsets`):
+    each subset's size from integers(2, n + 1), then its points from
+    choice(n, size=k, replace=False), in the order the search used to
+    draw them.  For an int seed the table is cached per process under
+    the key (seed, n, budget), at most _DRAW_CACHE_SIZE keys, and its
+    arrays are read-only since calls share them.  One key holds about
+    budget * (n + 2) / 2 small ints: 4 MiB at n = 2048 with the default
+    budget.  Any other rng (None, a SeedSequence, a Generator) draws an
+    uncached table from default_rng(rng), so a passed Generator advances
+    exactly as before.
+
     The search skips candidates that provably cannot reach the running
-    best, without changing its result.  A random subset A keeps its RNG
-    draws, then one arm d(a_0, a) over its other points a is read:
-    sep(A) <= min arm and diam(A) >= max arm, so
-    card * (min arm / max arm)**beta bounds its ratio, and A is scored
-    only when that bound, times _BOUND_MARGIN (which covers the rounding
-    error of ``**``), reaches the best.  Ball prefixes are pruned the
-    same way against the running best (see
+    best, without changing its result.  For a random subset A, one arm
+    d(a_0, a) over its other points a is read: sep(A) <= min arm and
+    diam(A) >= max arm, so card * (min arm / max arm)**beta bounds its
+    ratio.  Every subset's bound is computed at once, in chunks
+    (:func:`_arm_bounds`); then, in draw order, the subsets whose bound
+    times _BOUND_MARGIN reaches the best at that point are checked again
+    against the running best and scored.  The margin covers the
+    rounding error of ``**``, a few ulps whether numpy's array ``**``
+    or Python's float one computes it, so the filter never drops a
+    subset that could tie or beat the best.  Ball prefixes are pruned
+    the same way against the running best (see
     :func:`_ball_prefix_candidates`).  Ties are still scored, so the
     constant, the witness (least tied subset) and the mode are those of
     the unpruned search.
@@ -291,6 +369,8 @@ def doubling_constant(
         raise DegenerateSpace("doubling constant needs at least 2 points")
     if not beta > 0:
         raise ValueError("beta must be positive")
+    if not isinstance(budget, numbers.Integral) or isinstance(budget, bool) or budget < 0:
+        raise ValueError("budget must be a nonnegative integer")
     m = space.matrix
     n = space.n
 
@@ -298,7 +378,11 @@ def doubling_constant(
         constant, witness = _exhaustive_doubling(m, beta)
         return DoublingReport(beta, constant, witness, "exhaustive")
 
-    generator = np.random.default_rng(rng)
+    budget = int(budget)
+    if isinstance(rng, numbers.Integral) and not isinstance(rng, bool):
+        sizes, flat = _seeded_draws(int(rng), n, budget)
+    else:
+        sizes, flat = _draw_subsets(np.random.default_rng(rng), n, budget)
     best = -np.inf
     witness: tuple[int, ...] = ()
 
@@ -315,13 +399,13 @@ def doubling_constant(
     consider(_subset_ratio(beta, n, float(large[0]), float(small[0])), tuple(range(n)))
     for ratio, subset in _ball_prefix_candidates(m, beta, lambda: best, extremes):
         consider(ratio, subset)
+    bounds, starts = _arm_bounds(m, beta, sizes, flat)
     inside = np.zeros(n, dtype=bool)
-    for _ in range(budget):
-        k = int(generator.integers(2, n + 1))
-        chosen = generator.choice(n, size=k, replace=False)
-        arm = m[chosen[0], chosen[1:]]
-        if _subset_ratio(beta, k, float(arm.max()), float(arm.min())) * _BOUND_MARGIN < best:
+    for i in np.nonzero(bounds * _BOUND_MARGIN >= best)[0].tolist():
+        if bounds[i] * _BOUND_MARGIN < best:
             continue
+        k = int(sizes[i])
+        chosen = flat[starts[i] : starts[i] + k]
         inside[chosen] = True
         sep, diam = (_first_held(pairs, inside) for pairs in extremes)
         inside[chosen] = False

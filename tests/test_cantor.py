@@ -172,6 +172,17 @@ def test_geometric_prefix_ultrametric():
         geometric_prefix_ultrametric(4, top=0.0)
 
 
+@pytest.mark.parametrize("top", [math.inf, -math.inf, math.nan])
+def test_geometric_prefix_ultrametric_rejects_a_non_finite_top(top):
+    # one error for every count, and for the default piece built on it
+    for count in (1, 2, 3):
+        with pytest.raises(ValueError, match="top must be positive and finite"):
+            geometric_prefix_ultrametric(count, top=top)
+    for labels in (("a",), ("a", "b"), ("a", "b", "c")):
+        with pytest.raises(ValueError, match="top must be positive and finite"):
+            default_metric_piece(labels, top)
+
+
 # ---------------------------------------------------------------------------
 # every binary-string construction, pinned to its bytes
 

@@ -106,6 +106,18 @@ def test_doubling_guards():
         doubling_constant(pair, 0.0)
 
 
+@pytest.mark.parametrize("budget", [-3, -1, 2.5, 2.0, "10", None, True])
+@pytest.mark.parametrize("n", [8, 20])
+def test_doubling_rejects_a_budget_that_is_not_a_nonnegative_integer(n, budget):
+    # checked at entry, before the exhaustive branch ignores the budget
+    space = random_space("closure", n, trial_rng(45, 0))
+    with pytest.raises(ValueError, match="budget must be a nonnegative integer"):
+        doubling_constant(space, 2.0, budget=budget)
+    assert doubling_constant(space, 2.0, budget=np.int64(30)) == doubling_constant(
+        space, 2.0, budget=30
+    )
+
+
 # ---------------------------------------------------------------------------
 # bottleneck matrix and the disconnectedness modulus
 
@@ -205,17 +217,24 @@ def _doubling_host(kind: str, n: int, seed: int) -> FiniteMetricSpace:
     return random_space(kind, n, trial_rng(seed, 0))
 
 
+# This many random subsets fill at least three chunks of the arm bounds
+# at every sampled n (a chunk holds _BOUND_CHUNK // n subsets).
+_SEVERAL_CHUNKS = 3 * (moduli._BOUND_CHUNK // (EXHAUSTIVE_LIMIT + 1))
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(
     st.sampled_from(["closure", "points_linf", "sequential", "s_ultrametric", "uniform"]),
     st.integers(min_value=EXHAUSTIVE_LIMIT + 1, max_value=64),
     st.sampled_from([0.5, 1.0, 2.0, 3.0]),
-    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=40)
+    | st.integers(min_value=_SEVERAL_CHUNKS, max_value=_SEVERAL_CHUNKS + 200),
     st.integers(min_value=0, max_value=2**16),
 )
 def test_doubling_sampled_matches_the_unpruned_search(kind, n, beta, budget, seed):
     # the pruned search skips only candidates strictly below the running
-    # best, so constant, witness and mode equal those of the full scan
+    # best, so constant, witness and mode equal those of the full scan;
+    # the larger budgets bound their subsets over several chunks
     space = _doubling_host(kind, n, seed)
     report = doubling_constant(space, beta, budget=budget, rng=seed)
     expected = orc.doubling_sampled_by_full_scan(space.matrix, beta, budget, seed)
@@ -238,6 +257,25 @@ def test_doubling_sampled_matches_the_unpruned_search_on_large_closure_hosts(
     report = doubling_constant(space, beta, budget=budget, rng=seed)
     expected = orc.doubling_sampled_by_full_scan(space.matrix, beta, budget, seed)
     assert (report.constant, report.witness, report.mode) == (*expected, "sampled")
+
+
+def test_doubling_draw_tables_follow_the_seed_n_and_budget():
+    # the random subsets hang on (seed, n, budget) alone: interleaved
+    # calls that repeat a key, change n, shrink the budget under the
+    # same seed or pass a Generator each give the unpruned search's
+    # report, and a passed Generator ends where the oracle's draws leave it
+    host = random_space("points_linf", 40, trial_rng(46, 0))
+    other = random_space("closure", 40, trial_rng(46, 1))
+    smaller = random_space("sequential", 24, trial_rng(46, 2))
+    for space, budget in ((host, 300), (other, 300), (smaller, 300), (host, 300), (host, 120)):
+        report = doubling_constant(space, 2.0, budget=budget, rng=7)
+        expected = orc.doubling_sampled_by_full_scan(space.matrix, 2.0, budget, 7)
+        assert (report.constant, report.witness, report.mode) == (*expected, "sampled")
+    generator, oracle_generator = np.random.default_rng(7), np.random.default_rng(7)
+    report = doubling_constant(host, 2.0, budget=300, rng=generator)
+    expected = orc.doubling_sampled_by_full_scan(host.matrix, 2.0, 300, oracle_generator)
+    assert (report.constant, report.witness) == expected
+    assert generator.integers(2**62) == oracle_generator.integers(2**62)
 
 
 def _count_fill_diagonal(monkeypatch) -> list:

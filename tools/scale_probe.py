@@ -1,16 +1,25 @@
-"""Scale probe: host build, `diagnose` and the three approximation
-pipelines at n in {64, 256, 1024, 2048}.
+"""Scale probe: host build, `diagnose`, `doubling_constant` and the three
+approximation pipelines at n in {64, 256, 1024, 2048}.
 
     PYTHONPATH=src python tools/scale_probe.py --out probe.json
 
 Hosts: the seeded closure and `points_linf` hosts of `lab.random_space`
 and an S-valued ultrametric (`lab.random_s_ultrametric`, S geometric
 with ratio 1/2).  Each pipeline runs at eps = diameter / 8; the
-S-valued host also runs `approximate_ud` with S.  Every (host, n) case
-runs in its own process, so its `ru_maxrss` is that case's peak RSS.
-Each stage is timed REPEATS times and the median is reported; a case
-that exceeds CAP_S seconds reads "over cap".  Uses only the
-standard library, numpy and the package.
+S-valued host also runs `approximate_ud` with S.  `doubling_constant`
+runs as `classify` calls it (beta = 2, the default budget, rng 0).
+Every (host, n) case runs in its own process, so its `ru_maxrss` is
+that case's peak RSS.  Each stage is timed REPEATS times and the median
+is reported.  The first `doubling_constant` call of the process, which
+draws the random subsets, is reported apart as
+`doubling_constant_first`; the REPEATS calls after it make the warm
+median.  A case that exceeds CAP_S seconds reads "over cap".  Uses only
+the standard library, numpy and the package.
+
+One case alone, as JSON on standard output (run it under another
+checkout's `src` to compare two versions case by case):
+
+    PYTHONPATH=src python tools/scale_probe.py --out - --case closure 256
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ def run_case(kind: str, n: int) -> dict:
         approximate_ud,
         approximate_up,
         diagnose,
+        doubling_constant,
         geometric_range_set,
     )
 
@@ -57,10 +67,13 @@ def run_case(kind: str, n: int) -> dict:
         samples.setdefault(stage, []).append(time.perf_counter() - start)
         return result
 
-    for _ in range(REPEATS):
+    for repeat in range(REPEATS):
         host = timed("host", lambda: _host(kind, n))
         eps = host.diameter / 8
         timed("diagnose", lambda: diagnose(host.labels, host.matrix))
+        if not repeat:
+            timed("doubling_constant_first", lambda: doubling_constant(host, 2.0))
+        timed("doubling_constant", lambda: doubling_constant(host, 2.0))
         timed("approximate_ud", lambda: approximate_ud(host, eps))
         timed("approximate_up", lambda: approximate_up(host, eps))
         timed("approximate_doubling", lambda: approximate_doubling(host, eps))
