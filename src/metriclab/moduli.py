@@ -41,6 +41,13 @@ _BOUND_MARGIN = 1 + 1e-12
 # chunk's temporaries is 32 KiB at most.
 _BOUND_CHUNK = 1 << 12
 
+# Block budgets in entries: centers, random subsets or up_constant rows
+# per block (128 KiB of floats), gathered heads per chunk (512 KiB; one
+# head may exceed it).  The first block of centers holds _FIRST_CENTERS.
+_BLOCK_ENTRIES = 1 << 14
+_CUBE_ENTRIES = 1 << 16
+_FIRST_CENTERS = 4
+
 # Draw tables (see :func:`_draw_subsets`) kept per process.
 _DRAW_CACHE_SIZE = 8
 
@@ -123,10 +130,6 @@ def _subset_ratio(beta: float, card: int, diam: float, sep: float) -> float:
     return card * (sep / diam) ** beta
 
 
-def _mask_to_tuple(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(i for i in range(n) if (mask >> i) & 1)
-
-
 def _exhaustive_doubling(matrix: np.ndarray, beta: float) -> tuple[float, tuple[int, ...]]:
     """Scan every subset with >= 2 points via subset DP over bitmasks."""
     n = matrix.shape[0]
@@ -157,7 +160,7 @@ def _exhaustive_doubling(matrix: np.ndarray, beta: float) -> tuple[float, tuple[
     ratios = np.where(eligible, cards * (safe_min / safe_max) ** beta, -np.inf)
     best = float(ratios.max())
     tie_masks = np.nonzero(ratios == best)[0]
-    witness = min(_mask_to_tuple(int(mask), n) for mask in tie_masks)
+    witness = min(tuple(i for i in range(n) if (int(mask) >> i) & 1) for mask in tie_masks)
     return best, witness
 
 
@@ -188,12 +191,21 @@ def _extreme_pairs(matrix: np.ndarray):
     return tuple((rows[t], cols[t], values[t]) for t in (small, large))
 
 
-def _first_held(pairs, inside: np.ndarray) -> float | None:
-    """Value of the first listed pair with both ends inside, or None."""
+def _first_held(pairs, inside: np.ndarray):
+    """Value of the first listed pair with both ends inside, or None; for
+    a (rows, n) membership block, one value per row, NaN for none."""
     a, b, values = pairs
-    held = inside[a] & inside[b]
-    t = int(np.argmax(held))
-    return float(values[t]) if held[t] else None
+    held = inside[..., a] & inside[..., b]
+    first = np.where(held.any(axis=-1), values[np.argmax(held, axis=-1)], np.nan)
+    return first if inside.ndim > 1 else None if np.isnan(first) else float(first)
+
+
+def _growing_blocks(count: int, most: int, first: int = 1):
+    """(start, stop) ranges covering range(count): `first` items, then doubling up to `most`."""
+    start, step = 0, min(first, most)
+    while start < count:
+        yield start, min(start + step, count)
+        start, step = start + step, min(2 * step, most)
 
 
 def _ball_prefix_candidates(matrix: np.ndarray, beta: float, floor, extremes):
@@ -201,67 +213,87 @@ def _ball_prefix_candidates(matrix: np.ndarray, beta: float, floor, extremes):
 
     For each center c, the points o_0, o_1, ... in stable distance order
     from c yield nested "balls" P_r = {o_0, ..., o_r}.  Yields (ratio,
-    witness tuple) of the best prefix (the first argmax) per center.
+    witness tuple) of the best prefix (the first argmax) per center that
+    can reach the caller's best.  The caller keeps the largest ratio,
+    then the least tuple, whatever the order of arrival, so centers are
+    scored in blocks (:func:`_growing_blocks`) and `floor()` is read
+    per block, not per center.  P_r holds (o_1, o_0) and (o_r, o_0), so its ratio
+    is at most bound_r = (r+1) * (d(o_1, o_0) / d(o_r, o_0))**beta;
+    ``**`` is off by a few ulps, so a prefix is live only if bound_r *
+    _BOUND_MARGIN reaches the floor, and a dead one scores below it.
 
-    `floor()` is read once per center, just before it is scored, and
-    centers that cannot reach it are dropped.  P_r contains the pairs
-    (o_1, o_0) and (o_r, o_0), so sep(P_r) <= d(o_1, o_0) and
-    diam(P_r) >= d(o_r, o_0), which bounds its ratio by
-    bound_r = (r+1) * (d(o_1, o_0) / d(o_r, o_0))**beta, one vector per
-    center from a single column.  Division is correctly rounded and
-    monotone and ``**`` is off by a few ulps, so a ratio never exceeds
-    its bound by the _BOUND_MARGIN factor.  A center with no bound_r
-    reaching the floor is skipped; otherwise only the prefixes up to
-    the last live one are scored, which leaves the first argmax
-    unchanged whenever it reaches the floor.  With any floor <= the
-    caller's running best, everything dropped scores strictly below
-    that best, so a search that ignores such candidates stays exact.
-
-    Separation and diameter come from `extremes` (see
-    :func:`_extreme_pairs`).  With rank(x) the position of x in the
-    order, P_r holds the listed pair (a, b) iff max(rank(a), rank(b))
-    <= r, so the running minimum `enter` of that position along a list
-    is non-increasing and the first pair P_r holds is the first t with
-    enter[t] <= r, found by ``searchsorted``.  This gives sep and
-    diam exactly for every r >= r0, the first prefix holding a pair of
-    each list.  Only the r0 points before it are gathered, and their
-    prefixes are reduced as running max / min over the rows of the
-    reordered block.
+    With rank(x) the position of x in the order, P_r holds the listed
+    pair (a, b) of `extremes` (:func:`_extreme_pairs`) iff max(rank(a),
+    rank(b)) <= r; the running minimum `enter` of that along a list is
+    non-increasing, so P_r's first held pair is the t-th, t the count of
+    `enter` above r.  That gives sep and diam exactly, with no gather,
+    for r >= r0, the first prefix holding a pair of each list.  These
+    ratios are achieved, so the floor is raised to their largest before
+    the live prefixes below r0 are gathered (:func:`_head_prefixes`); a
+    padded one is the center's own, and from r0 on bit-equal to the list
+    read.  Every floor is at most the final best: the search stays exact.
     """
     n = matrix.shape[0]
-    tril = np.tril(np.ones((n, n), dtype=bool), k=-1)
     cards = np.arange(2, n + 1, dtype=float)
-    positions = np.arange(n)
-    rank = np.empty(n, dtype=np.intp)
-    (_, _, small), (_, _, large) = extremes
-    for center in range(n):
-        order = np.argsort(matrix[center], kind="stable")
-        arm = matrix[order[1:], order[0]]
-        bounds = cards * (arm[0] / arm) ** beta
-        live = np.nonzero(bounds * _BOUND_MARGIN >= floor())[0]
-        if not live.size:
+    prefixes = np.arange(1, n)
+    everything = tuple(range(n))
+    for lo, hi in _growing_blocks(n, max(1, _BLOCK_ENTRIES // n), _FIRST_CENTERS):
+        order = np.argsort(matrix[lo:hi], axis=1, kind="stable")
+        arm = matrix[order[:, 1:], order[:, :1]]
+        bounds = cards * (arm[:, :1] / arm) ** beta * _BOUND_MARGIN
+        live = bounds >= floor()
+        kept = live.any(axis=1)
+        if not kept.any():
             continue
-        size = int(live[-1]) + 2
-        rank[order] = positions
-        small_enter, large_enter = (
-            np.minimum.accumulate(np.maximum(rank[a], rank[b])) for a, b, _ in extremes
-        )
-        r0 = max(int(small_enter[-1]), int(large_enter[-1]))
-        head = order[: min(size, r0)]
-        sub = matrix[np.ix_(head, head)]
-        below = tril[: head.size, : head.size]
-        rowmax = sub.max(axis=1, where=below, initial=-np.inf)
-        rowmin = sub.min(axis=1, where=below, initial=np.inf)
-        later = -np.arange(r0, size)
-        sep = np.concatenate(
-            [np.minimum.accumulate(rowmin)[1:], small[np.searchsorted(-small_enter, later)]]
-        )
-        diam = np.concatenate(
-            [np.maximum.accumulate(rowmax)[1:], large[np.searchsorted(-large_enter, later)]]
-        )
-        ratios = cards[: size - 1] * (sep / diam) ** beta
-        k = int(np.argmax(ratios))
-        yield float(ratios[k]), tuple(np.sort(order[: k + 2]).tolist())
+        order, bounds, live = order[kept], bounds[kept], live[kept]
+        rank = np.empty_like(order)
+        np.put_along_axis(rank, order, np.arange(n), axis=1)
+        enters = [np.maximum(rank[:, a], rank[:, b]) for a, b, _ in extremes]
+        r0 = np.maximum(enters[0].min(axis=1), enters[1].min(axis=1))
+        tail = live & (prefixes >= r0[:, None])
+        ratios = np.full(live.shape, -np.inf)
+        if tail.any():
+            sep, diam = (_held_values(e, v, tail) for e, (_, _, v) in zip(enters, extremes))
+            ratios[tail] = np.broadcast_to(cards, live.shape)[tail] * (sep / diam) ** beta
+        raised = max(floor(), ratios.max())
+        heads = (bounds >= raised) & (prefixes < r0[:, None])
+        sizes = np.where(heads.any(axis=1), n - np.argmax(heads[:, ::-1], axis=1), 0)
+        for group, head in _head_prefixes(matrix, beta, cards, order, sizes):
+            ratios[group, : head.shape[1]] = np.maximum(ratios[group, : head.shape[1]], head)
+        best, where = ratios.max(axis=1), ratios.argmax(axis=1) + 2
+        for i in np.nonzero(best >= raised)[0].tolist():
+            ratio = float(best[i])
+            if ratio >= floor():
+                size = int(where[i])
+                yield ratio, everything if size == n else tuple(np.sort(order[i, :size]).tolist())
+
+
+def _held_values(enter, values, tail):
+    """`values` of the first listed pair P_r holds, at each (center, r) in `tail`."""
+    rows, n = tail.shape[0], tail.shape[1] + 1
+    enter = np.minimum.accumulate(enter, axis=1)
+    counts = np.bincount((enter + n * np.arange(rows)[:, None]).ravel(), minlength=rows * n)
+    below = np.cumsum(counts.reshape(rows, n), axis=1)[:, 1:]
+    return values[values.size - below[tail]]
+
+
+def _head_prefixes(matrix, beta, cards, order, sizes):
+    """Yields (centers, ratios of P_1 .. P_{w-1}) for heads of h >= 2 points, by
+    chunks: the largest head left, of w points, and the next by size while
+    h > w/2 and the cube stays within max(w*w, _CUBE_ENTRIES) entries."""
+    members = np.argsort(-sizes, kind="stable")[: np.count_nonzero(sizes >= 2)]
+    lo = 0
+    while lo < members.size:
+        width = int(sizes[members[lo]])
+        group = members[lo : lo + max(1, _CUBE_ENTRIES // (width * width))]
+        group = group[2 * sizes[group] > width]
+        lo += group.size
+        cube = matrix[order[group, :width, None], order[group, None, :width]]
+        tri = np.tri(width, k=-1, dtype=bool)
+        diam = np.maximum.accumulate(cube.max(axis=2, where=tri, initial=-np.inf), axis=1)
+        sep = np.minimum.accumulate(cube.min(axis=2, where=tri, initial=np.inf), axis=1)
+        del cube  # before the next chunk's cube is gathered
+        yield group, cards[: width - 1] * (sep[:, 1:] / diam[:, 1:]) ** beta
 
 
 def _draw_subsets(generator: np.random.Generator, n: int, budget: int):
@@ -348,16 +380,16 @@ def doubling_constant(
     d(a_0, a) over its other points a is read: sep(A) <= min arm and
     diam(A) >= max arm, so card * (min arm / max arm)**beta bounds its
     ratio.  Every subset's bound is computed at once, in chunks
-    (:func:`_arm_bounds`); then, in draw order, the subsets whose bound
-    times _BOUND_MARGIN reaches the best at that point are checked again
-    against the running best and scored.  The margin covers the
-    rounding error of ``**``, a few ulps whether numpy's array ``**``
-    or Python's float one computes it, so the filter never drops a
-    subset that could tie or beat the best.  Ball prefixes are pruned
-    the same way against the running best (see
-    :func:`_ball_prefix_candidates`).  Ties are still scored, so the
-    constant, the witness (least tied subset) and the mode are those of
-    the unpruned search.
+    (:func:`_arm_bounds`); the subsets whose bound times _BOUND_MARGIN
+    reaches the best are then scored in blocks, as rows of a membership
+    matrix (one ``argmax`` per row finds each list's first held pair),
+    and only those whose numpy ratio times the margin still reaches the
+    best get their exact ratio (:func:`_subset_ratio`) and witness.
+    The margin covers the few ulps of ``**`` error, so no filter drops
+    a subset that could tie or beat the best; ball prefixes are pruned
+    the same way (:func:`_ball_prefix_candidates`).  consider() keeps
+    the largest ratio, then the least tuple, whatever the order of
+    arrival, so the report is that of the unpruned search.
 
     Candidates are scored from the n smallest and n largest pairs,
     built once (:func:`_extreme_pairs`): the full set, every ball prefix
@@ -367,8 +399,8 @@ def doubling_constant(
     """
     if space.n < 2:
         raise DegenerateSpace("doubling constant needs at least 2 points")
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    if not (_is_number(beta) and 0 < beta < np.inf):
+        raise ValueError("beta must be positive and finite")
     if not isinstance(budget, numbers.Integral) or isinstance(budget, bool) or budget < 0:
         raise ValueError("budget must be a nonnegative integer")
     m = space.matrix
@@ -400,24 +432,28 @@ def doubling_constant(
     for ratio, subset in _ball_prefix_candidates(m, beta, lambda: best, extremes):
         consider(ratio, subset)
     bounds, starts = _arm_bounds(m, beta, sizes, flat)
-    inside = np.zeros(n, dtype=bool)
-    for i in np.nonzero(bounds * _BOUND_MARGIN >= best)[0].tolist():
-        if bounds[i] * _BOUND_MARGIN < best:
-            continue
-        k = int(sizes[i])
-        chosen = flat[starts[i] : starts[i] + k]
-        inside[chosen] = True
+    passed = np.nonzero(bounds * _BOUND_MARGIN >= best)[0]
+    step = max(1, _BLOCK_ENTRIES // n)
+    for lo in range(0, passed.size, step):
+        block = passed[lo : lo + step]
+        k = sizes[block]
+        ends = np.cumsum(k)
+        points = flat[np.arange(ends[-1]) + np.repeat(starts[block] - (ends - k), k)]
+        inside = np.zeros((block.size, n), dtype=bool)
+        inside[np.repeat(np.arange(block.size), k), points] = True
         sep, diam = (_first_held(pairs, inside) for pairs in extremes)
-        inside[chosen] = False
-        idx = np.sort(chosen)
-        if sep is None or diam is None:
-            sub = m[idx][:, idx]
-            diam = float(sub.max())
-            np.fill_diagonal(sub, np.inf)
-            sep = float(sub.min())
-        ratio = _subset_ratio(beta, k, diam, sep)
-        if ratio >= best:  # consider() ignores anything smaller
-            consider(ratio, tuple(idx.tolist()))
+        ratios = k * (sep / diam) ** beta  # NaN where a list is missed
+        for i in np.nonzero(~(ratios * _BOUND_MARGIN < best))[0].tolist():  # NaN passes
+            idx = np.sort(points[ends[i] - k[i] : ends[i]])
+            if np.isnan(ratios[i]):
+                sub = m[idx][:, idx]
+                diam_i = float(sub.max())
+                np.fill_diagonal(sub, np.inf)
+                ratio = _subset_ratio(beta, int(k[i]), diam_i, float(sub.min()))
+            else:
+                ratio = _subset_ratio(beta, int(k[i]), float(diam[i]), float(sep[i]))
+            if ratio >= best:  # consider() ignores anything smaller
+                consider(ratio, tuple(idx.tolist()))
 
     return DoublingReport(beta, float(best), witness, "sampled")
 
@@ -457,6 +493,12 @@ def up_constant(space: FiniteMetricSpace, r_min: float) -> UPReport:
     beyond r_min forces c* = 0.  The witness records the point and the
     radius at which the constraint binds (the right end of the binding
     interval; for c* = 0 the concrete failing radius r_min).
+
+    Rows are sorted in blocks (:func:`_growing_blocks`), diagonal 0
+    dropped.  A repeated distance a_k = a_{k+1} has an empty interval
+    [max(a_k, r_min), min(a_{k+1}, diameter)), so the live intervals are
+    those of the distinct distances, in order: the first minimum per row
+    and the first row reaching the least give the per-point loop's witness.
     """
     if space.n < 2:
         raise DegenerateSpace("the perfectness constant needs >= 2 points")
@@ -467,23 +509,21 @@ def up_constant(space: FiniteMetricSpace, r_min: float) -> UPReport:
         )
     best = np.inf
     witness = (0, r_min)
-    for x in range(space.n):
-        row = space.matrix[x]
-        dists = np.unique(row[row > 0])
-        if dists[0] > r_min:
+    for start, stop in _growing_blocks(space.n, max(1, _BLOCK_ENTRIES // space.n)):
+        dists = np.sort(space.matrix[start:stop], axis=1)[:, 1:]
+        isolated = dists[:, 0] > r_min
+        if isolated.any():
             # No distance at all in [r_min, dists[0]): annuli there are empty.
-            return UPReport(0.0, r_min, (x, r_min))
-        upper = np.append(dists[1:], np.inf)
-        lo = np.maximum(dists, r_min)
-        hi = np.minimum(upper, diameter)
-        live = lo < hi
-        if not live.any():
-            continue
-        bounds = dists[live] / hi[live]
-        k = int(np.argmin(bounds))
-        if bounds[k] < best:
-            best = float(bounds[k])
-            witness = (x, float(hi[live][k]))
+            return UPReport(0.0, r_min, (start + int(np.argmax(isolated)), r_min))
+        hi = np.full_like(dists, diameter)
+        np.minimum(dists[:, 1:], diameter, out=hi[:, :-1])
+        live = np.maximum(dists, r_min) < hi
+        bounds = np.divide(dists, hi, out=np.full_like(dists, np.inf), where=live)
+        row_best = bounds.min(axis=1)
+        x = int(np.argmin(row_best))
+        if row_best[x] < best:
+            best = float(row_best[x])
+            witness = (start + x, float(hi[x, np.argmin(bounds[x])]))
     return UPReport(best, r_min, witness)
 
 

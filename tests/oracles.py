@@ -247,6 +247,37 @@ def up_constant_by_radii(matrix: np.ndarray, r_min: float, eta: float = 1e-9) ->
     return worst
 
 
+def up_report_by_point_loop(matrix: np.ndarray, r_min: float):
+    """(c*, (point, radius)) of the annulus constant, one point at a time.
+
+    Per point x, the distinct positive distances a_0 < a_1 < ... give the
+    intervals [max(a_k, r_min), min(a_{k+1}, diameter)); the first point
+    whose a_0 exceeds r_min returns (0, (x, r_min)).  Otherwise each live
+    interval scores a_k / its right end, and the witness is the first
+    point, and within it the first interval, reaching the least score.
+    """
+    diameter = float(matrix.max())
+    best = np.inf
+    witness = (0, r_min)
+    for x in range(matrix.shape[0]):
+        row = matrix[x]
+        dists = np.unique(row[row > 0])
+        if dists[0] > r_min:
+            return 0.0, (x, r_min)
+        upper = np.append(dists[1:], np.inf)
+        lo = np.maximum(dists, r_min)
+        hi = np.minimum(upper, diameter)
+        live = lo < hi
+        if not live.any():
+            continue
+        bounds = dists[live] / hi[live]
+        k = int(np.argmin(bounds))
+        if bounds[k] < best:
+            best = float(bounds[k])
+            witness = (x, float(hi[live][k]))
+    return best, witness
+
+
 def up_obstruction_by_scan(s_values, c: float, n_max: int) -> int | None:
     """First interior window [c**(n+1), c**(n-1)] empty of the listed
     positive values, with some listed value above it."""

@@ -144,6 +144,23 @@ def test_moduli_reads_thresholds_file(tmp_path, capsys):
     assert payload["reports"]["doubling"]["beta"] == 1.0
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_moduli_rejects_a_non_finite_beta(tmp_path, capsys, source):
+    # beta = inf used to exit 0 with "beta": Infinity, which is not JSON
+    path = _write(tmp_path, "space.json", _line_space_json([0.0, 1.0, 2.0, 3.0], "abcd"))
+    if source == "flag":
+        argv = ["moduli", path, "--beta", "inf"]
+    else:
+        thresholds = tmp_path / "thresholds.json"
+        thresholds.write_text('{"beta0": Infinity}', encoding="utf-8")
+        argv = ["moduli", path, "--thresholds", str(thresholds)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "beta must be positive and finite" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # amalgamate
 

@@ -1,10 +1,11 @@
 """The three moduli (doubling, disconnectedness, perfectness) and classify."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles as orc
@@ -116,6 +117,24 @@ def test_doubling_rejects_a_budget_that_is_not_a_nonnegative_integer(n, budget):
     assert doubling_constant(space, 2.0, budget=np.int64(30)) == doubling_constant(
         space, 2.0, budget=30
     )
+
+
+@pytest.mark.parametrize("beta", [np.inf, -np.inf, np.nan, True, False, 0.0, -1.0, "2"])
+@pytest.mark.parametrize("n", [8, 20])
+def test_doubling_rejects_a_beta_that_is_not_positive_and_finite(n, beta):
+    # inf scored every subset as (sep/diam)**inf = 0 and reported 2.0, and
+    # a bool ran as 1; both are refused at entry now
+    space = random_space("closure", n, trial_rng(48, 0))
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        doubling_constant(space, beta)
+    assert doubling_constant(space, np.float64(1.5)) == doubling_constant(space, 1.5)
+
+
+def test_classify_rejects_a_non_finite_beta0():
+    space = random_space("points_linf", 20, trial_rng(48, 1))
+    for beta0 in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            classify(space, Thresholds(beta0=beta0))
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +392,84 @@ def test_doubling_bounds_skip_most_random_subsets(monkeypatch):
     assert len(calls) < 200
 
 
+# The smallest block budgets: one center per ball-prefix block, one
+# center per gathered head chunk, one subset per walk block.
+_SMALLEST_BLOCKS = {"_BLOCK_ENTRIES": 1, "_CUBE_ENTRIES": 1, "_FIRST_CENTERS": 1}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["closure", "points_linf", "s_ultrametric", "uniform"]),
+    st.integers(min_value=EXHAUSTIVE_LIMIT + 1, max_value=64),
+    st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    st.integers(min_value=0, max_value=300),
+    st.integers(min_value=0, max_value=2**16),
+)
+def test_doubling_with_the_smallest_blocks_matches_the_unpruned_search(
+    kind, n, beta, budget, seed
+):
+    # every block boundary falls between two centers, two head chunks or
+    # two subsets; the floor is read at each, and the report must not move
+    space = _doubling_host(kind, n, seed)
+    expected = orc.doubling_sampled_by_full_scan(space.matrix, beta, budget, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in _SMALLEST_BLOCKS.items():
+            patch.setattr(moduli, name, value)
+        report = doubling_constant(space, beta, budget=budget, rng=seed)
+    assert (report.constant, report.witness, report.mode) == (*expected, "sampled")
+
+
+@pytest.mark.parametrize("smallest", [False, True])
+@pytest.mark.parametrize("kind, n, beta", [("sequential", 24, 1.0), ("s_ultrametric", 17, 0.5)])
+def test_doubling_gathers_the_prefix_just_before_r0(kind, n, beta, smallest):
+    # on these hosts the search's best is a ball prefix P_r with r = r0 - 1,
+    # the last one gathered: a head one point short reports less
+    space = _doubling_host(kind, n, 2)
+    expected = orc.doubling_sampled_by_full_scan(space.matrix, beta, 0, 2)
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in _SMALLEST_BLOCKS.items() if smallest else ():
+            patch.setattr(moduli, name, value)
+        report = doubling_constant(space, beta, budget=0, rng=2)
+    assert (report.constant, report.witness) == expected
+
+
+def test_doubling_block_with_heads_of_two_size_classes(monkeypatch):
+    # a block whose heads span more than a factor 2 gathers them in
+    # separate chunks, each padded to its own largest head
+    head_prefixes = moduli._head_prefixes
+    blocks = []  # per block: (smallest head, width) of each chunk
+
+    def spy(matrix, beta, cards, order, sizes):
+        blocks.append([])
+        for group, ratios in head_prefixes(matrix, beta, cards, order, sizes):
+            blocks[-1].append((int(sizes[group].min()), ratios.shape[1] + 1))
+            yield group, ratios
+
+    monkeypatch.setattr(moduli, "_head_prefixes", spy)
+    space = random_space("closure", 32, trial_rng(47, 0))
+    report = doubling_constant(space, 2.0, budget=0, rng=3)
+    expected = orc.doubling_sampled_by_full_scan(space.matrix, 2.0, 0, 3)
+    assert (report.constant, report.witness) == expected
+    assert all(2 * smallest > width for chunks in blocks for smallest, width in chunks)
+    widths = [[width for _, width in chunks] for chunks in blocks if chunks]
+    assert any(max(w) > 2 * min(w) for w in widths)
+
+
+def test_doubling_memory_stays_near_the_extreme_pair_lists():
+    # at n = 512 the peak is _extreme_pairs' triu index arrays (4.0 MiB);
+    # the block temporaries must not add more than 1 MiB on top of that
+    for kind, beta in (("closure", 2.0), ("points_linf", 1.0)):
+        space = random_space(kind, 512, trial_rng(49, 0))
+        moduli._seeded_draws(0, 512, 2000)  # the cached draws are not counted
+        tracemalloc.start()
+        try:
+            doubling_constant(space, beta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2**20, (kind, beta, peak)
+
+
 # ---------------------------------------------------------------------------
 # uniform perfectness
 
@@ -444,6 +541,59 @@ def test_up_constant_guards():
     lone = FiniteMetricSpace(("a",), np.zeros((1, 1)))
     with pytest.raises(DegenerateSpace):
         up_constant(lone, 0.5)
+
+
+def _up_host(kind: str, n: int, seed: int) -> FiniteMetricSpace:
+    if kind == "progression":
+        return _progression_space(n)
+    if kind == "s_ultrametric":
+        return random_s_ultrametric(n, geometric_range_set(0.5), trial_rng(seed, 0))
+    return random_space(kind, n, trial_rng(seed, 0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["closure", "points_linf", "sequential", "s_ultrametric", "progression"]),
+    st.integers(min_value=2, max_value=64),
+    st.sampled_from(["separation", "middle", "below_diameter"]),
+    st.sampled_from([None, 1, 3]),
+    st.integers(min_value=0, max_value=2**16),
+)
+def test_up_constant_matches_the_point_loop_exactly(kind, n, where, rows, seed):
+    # c* and the witness (point, radius) equal the one-point-at-a-time
+    # loop's, also when a row block holds 1 or 3 rows
+    space = _up_host(kind, n, seed)
+    distances = np.unique(space.matrix[space.matrix > 0])
+    r_min = {
+        "separation": float(distances[0]),
+        "middle": float(distances[distances.size // 2]),
+        "below_diameter": float(np.nextafter(distances[-1], 0.0)),
+    }[where]
+    assume(0 < r_min < space.diameter)
+    with pytest.MonkeyPatch.context() as patch:
+        if rows is not None:
+            patch.setattr(moduli, "_BLOCK_ENTRIES", rows * n)
+        report = up_constant(space, r_min)
+    assert (report.c_star, report.witness) == orc.up_report_by_point_loop(space.matrix, r_min)
+
+
+def test_up_constant_memory_stays_within_a_few_row_blocks():
+    # the loop's peak is one row (4 KiB); five block temporaries of
+    # _BLOCK_ENTRIES floats are 640 KiB, within 1 MiB.  Both hosts scan
+    # every row: no point is isolated at the separation
+    for space in (
+        random_space("sequential", 512, trial_rng(49, 1)),
+        random_s_ultrametric(512, geometric_range_set(0.5), trial_rng(49, 2)),
+    ):
+        r_min = space.separation
+        assert up_constant(space, r_min).c_star > 0
+        tracemalloc.start()
+        try:
+            up_constant(space, r_min)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, peak
 
 
 # ---------------------------------------------------------------------------

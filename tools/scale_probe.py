@@ -1,5 +1,5 @@
-"""Scale probe: host build, `diagnose`, `doubling_constant` and the three
-approximation pipelines at n in {64, 256, 1024, 2048}.
+"""Scale probe: host build, `diagnose`, `doubling_constant`, `up_constant`
+and the three approximation pipelines at n in {64, 256, 1024, 2048}.
 
     PYTHONPATH=src python tools/scale_probe.py --out probe.json
 
@@ -7,7 +7,8 @@ Hosts: the seeded closure and `points_linf` hosts of `lab.random_space`
 and an S-valued ultrametric (`lab.random_s_ultrametric`, S geometric
 with ratio 1/2).  Each pipeline runs at eps = diameter / 8; the
 S-valued host also runs `approximate_ud` with S.  `doubling_constant`
-runs as `classify` calls it (beta = 2, the default budget, rng 0).
+runs as `classify` calls it (beta = 2, the default budget, rng 0), and
+so does `up_constant` (r_min = the host's separation, computed untimed).
 Every (host, n) case runs in its own process, so its `ru_maxrss` is
 that case's peak RSS.  Each stage is timed REPEATS times and the median
 is reported.  The first `doubling_constant` call of the process, which
@@ -57,6 +58,7 @@ def run_case(kind: str, n: int) -> dict:
         diagnose,
         doubling_constant,
         geometric_range_set,
+        up_constant,
     )
 
     samples: dict[str, list[float]] = {}
@@ -74,6 +76,8 @@ def run_case(kind: str, n: int) -> dict:
         if not repeat:
             timed("doubling_constant_first", lambda: doubling_constant(host, 2.0))
         timed("doubling_constant", lambda: doubling_constant(host, 2.0))
+        separation = host.separation
+        timed("up_constant", lambda: up_constant(host, separation))
         timed("approximate_ud", lambda: approximate_ud(host, eps))
         timed("approximate_up", lambda: approximate_up(host, eps))
         timed("approximate_doubling", lambda: approximate_doubling(host, eps))
