@@ -45,7 +45,7 @@ from .rangesets import (
     sequence_from_json,
     sequence_to_json,
 )
-from .spaces import space_from_json, space_to_json
+from .spaces import _space_payload, space_from_json
 
 
 def _load_json(path: str):
@@ -108,7 +108,7 @@ def _cmd_amalgamate(args) -> int:
         out = amalgamate_ultrametric(host, partition, pieces, S)
     else:
         out = amalgamate_metric(host, partition, pieces)
-    _emit(space_to_json(out), args.out)
+    _emit(_space_payload(out), args.out)
     return 0
 
 
@@ -120,7 +120,7 @@ def _cmd_approximate(args) -> int:
     if args.property == "doubling":
         out, embedding = approximate_doubling(space, eps)
         payload = {
-            "space": space_to_json(out),
+            "space": _space_payload(out),
             "embedding": embedding.to_json(),
             "epsilon": eps,
         }
@@ -128,14 +128,14 @@ def _cmd_approximate(args) -> int:
         S = rangeset_from_json(_load_json(args.rangeset)) if args.rangeset else None
         out, report = approximate_ud(space, eps, S=S)
         payload = {
-            "space": space_to_json(out),
+            "space": _space_payload(out),
             "delta_star": report.delta_star,
             "epsilon": eps,
         }
     else:  # up
         out, report = approximate_up(space, eps)
         payload = {
-            "space": space_to_json(out),
+            "space": _space_payload(out),
             "c_star": report.c_star,
             "heredity_floor": report.bound,
             "r_min": report.r_min,
@@ -152,12 +152,12 @@ def _cmd_cantor_gen(args) -> int:
     if args.sequence:
         sequence = sequence_from_json(_load_json(args.sequence))
         space = sequential_metric(sequence, args.depth)
-        payload = {"space": space_to_json(space)}
+        payload = {"space": _space_payload(space)}
     else:
         bits = tuple(int(c) for c in args.type)
         space, recipe = generate_type(bits, args.depth, seed=args.seed)
         payload = {
-            "space": space_to_json(space),
+            "space": _space_payload(space),
             "type": "".join(str(b) for b in bits),
             "recipe": recipe,
         }

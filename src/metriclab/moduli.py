@@ -23,6 +23,7 @@ import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
+from scipy.spatial.distance import squareform
 
 from .errors import BadScaleCutoff, DegenerateSpace
 from .spaces import FiniteMetricSpace, _subdominant_ultrametric
@@ -179,16 +180,26 @@ def _extreme_pairs(matrix: np.ndarray):
     same way diam(A) is the value of the first pair of large that A
     holds.  These are matrix entries read as they are, so a ratio built
     from them is bit-identical to one built from an O(card(A)^2) gather.
+
+    The values are read as the condensed upper triangle (row-major, the
+    order of ``np.triu_indices``), and only the 2n kept positions are
+    mapped back to (i, j) through the row starts, so no index array over
+    all pairs is built.
     """
     n = matrix.shape[0]
-    rows, cols = np.triu_indices(n, k=1)
-    values = matrix[rows, cols]
+    values = squareform(matrix, checks=False)
     count = min(n, values.size)
     small = np.argpartition(values, count - 1)[:count]
     small = small[np.argsort(values[small], kind="stable")]
     large = np.argpartition(values, values.size - count)[values.size - count :]
     large = large[np.argsort(values[large], kind="stable")[::-1]]
-    return tuple((rows[t], cols[t], values[t]) for t in (small, large))
+    i = np.arange(n)
+    starts = i * (2 * n - i - 1) // 2  # condensed position of pair (i, i + 1)
+    pairs = []
+    for t in (small, large):
+        a = np.searchsorted(starts, t, side="right") - 1
+        pairs.append((a, t - starts[a] + a + 1, values[t]))
+    return tuple(pairs)
 
 
 def _first_held(pairs, inside: np.ndarray):

@@ -12,6 +12,7 @@ and :func:`ultra_distance`) and the shortest-path repair
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.cluster.hierarchy import cophenet, linkage
@@ -76,17 +77,17 @@ class FiniteMetricSpace:
     def n(self) -> int:
         return len(self.labels)
 
-    @property
+    # The matrix is read-only, so each statistic is computed once per space.
+    @cached_property
     def diameter(self) -> float:
         return float(self.matrix.max())
 
-    @property
+    @cached_property
     def separation(self) -> float:
         """Smallest positive pairwise distance (needs >= 2 points)."""
         if self.n < 2:
             raise SeparationUndefined("separation needs at least 2 points")
-        off = ~np.eye(self.n, dtype=bool)
-        return float(self.matrix[off].min())
+        return float(np.min(self.matrix, initial=np.inf, where=~np.eye(self.n, dtype=bool)))
 
 
 def _subdominant_ultrametric(matrix: np.ndarray) -> np.ndarray:
@@ -435,13 +436,15 @@ def metric_closure(labels, raw) -> FiniteMetricSpace:
     return validate(labels, m, flavor=METRIC)
 
 
+def _space_payload(space: FiniteMetricSpace) -> dict:
+    """{"labels": [...], "matrix": <the read-only ndarray>, "flavor": ...},
+    the space file layout as :func:`jsontext.dumps` writes it."""
+    return {"labels": list(space.labels), "matrix": space.matrix, "flavor": space.flavor}
+
+
 def space_to_json(space: FiniteMetricSpace) -> dict:
     """JSON-ready object: {"labels": [...], "matrix": [[...]], "flavor": ...}."""
-    return {
-        "labels": list(space.labels),
-        "matrix": space.matrix.tolist(),
-        "flavor": space.flavor,
-    }
+    return _space_payload(space) | {"matrix": space.matrix.tolist()}
 
 
 def space_from_json(obj: dict, tol: float = DEFAULT_TOL) -> FiniteMetricSpace:

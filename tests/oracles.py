@@ -221,6 +221,22 @@ def doubling_sampled_by_full_scan(
     return best, witness
 
 
+def extreme_pairs_by_triu(matrix: np.ndarray):
+    """The n smallest and n largest pairs i < j, read through the full
+    ``np.triu_indices`` index arrays: (small, large), each (rows, cols,
+    values), small ascending and large descending by stable sort of the
+    argpartition picks."""
+    n = matrix.shape[0]
+    rows, cols = np.triu_indices(n, k=1)
+    values = matrix[rows, cols]
+    count = min(n, values.size)
+    small = np.argpartition(values, count - 1)[:count]
+    small = small[np.argsort(values[small], kind="stable")]
+    large = np.argpartition(values, values.size - count)[values.size - count :]
+    large = large[np.argsort(values[large], kind="stable")[::-1]]
+    return tuple((rows[t], cols[t], values[t]) for t in (small, large))
+
+
 def up_constant_by_radii(matrix: np.ndarray, r_min: float, eta: float = 1e-9) -> float:
     """Annulus constant by a 2-D scan over (point, critical radius).
 

@@ -586,21 +586,29 @@ def test_outputs_are_the_indenting_encoders_bytes(tmp_path, capsys, monkeypatch)
     part = _write(tmp_path, "part.json", {"pieces": [[0, 1], [2, 3, 4]], "basepoints": [0, 3]})
     piece0 = _write(tmp_path, "piece0.json", _line_space_json([0.0, 0.25], labels[:2]))
     piece1 = _write(tmp_path, "piece1.json", _line_space_json([0.0, 0.15, 0.3], labels[2:]))
+    seq = _write(tmp_path, "seq.json", {"values": [0.8, 0.4, 0.2], "envelope": None})
     config = _write(tmp_path, "cfg.json", {"experiment": "dense_ud", "n": 12, "trials": 2})
     approximate = ["approximate", space, "--epsilon", "0.125", "--fraction", "--property"]
-    for argv in (
-        ["validate", space],
-        ["moduli", space, "--full"],
-        approximate + ["doubling"],
-        approximate + ["ud"],
-        approximate + ["up"],
-        ["approximate", ultra, "--property", "ud", "--epsilon", "0.125", "--rangeset", S],
-        ["amalgamate", host, part, piece0, piece1],
-        ["cantor", "gen", "--type", "110", "--depth", "4"],
-        ["experiment", config],
+    # argv, and where the emitted object holds a space (None: it holds none)
+    for argv, space_at in (
+        (["validate", space], None),
+        (["moduli", space, "--full"], None),
+        (approximate + ["doubling"], "space"),
+        (approximate + ["ud"], "space"),
+        (approximate + ["up"], "space"),
+        (["approximate", ultra, "--property", "ud", "--epsilon", "0.125", "--rangeset", S], "space"),
+        (["amalgamate", host, part, piece0, piece1], ""),
+        (["cantor", "gen", "--type", "110", "--depth", "4"], "space"),
+        (["cantor", "gen", "--sequence", seq, "--depth", "3"], "space"),
+        (["experiment", config], None),
     ):
         payloads.clear()
         assert main(argv) == 0, argv
         assert len(payloads) == 1
-        expected = json.dumps(payloads[0], sort_keys=True, indent=2) + "\n"
+        if space_at is not None:
+            emitted = payloads[0][space_at] if space_at else payloads[0]
+            assert type(emitted["matrix"]) is np.ndarray, argv  # the writer's array path
+        expected = (
+            json.dumps(payloads[0], sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n"
+        )
         assert capsys.readouterr().out == expected, argv

@@ -4,6 +4,7 @@ import json
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,3 +87,50 @@ def test_only_rectangular_lists_of_floats_take_the_matrix_path():
     assert _is_float_matrix([[-0.0, math.nan], [math.inf, 5e-324]])
     for value in ([[1, 2.0]], [[True]], [[1.0], [2.0, 3.0]], [[]], [(1.0,)], ([1.0],)):
         assert not _is_float_matrix(value)
+
+
+@st.composite
+def float_arrays(draw):
+    """2-D float64 arrays, 1 x 1 to 5 x 5, in every memory layout."""
+    pool = draw(st.lists(floats, min_size=1, max_size=6))
+    rows = draw(st.integers(min_value=1, max_value=5))
+    cols = draw(st.integers(min_value=1, max_value=5))
+    layout = draw(st.sampled_from(["C", "F", "transposed", "strided"]))
+    shape = {"transposed": (cols, rows), "strided": (2 * rows, 3 * cols)}.get(layout, (rows, cols))
+    values = [[draw(st.sampled_from(pool)) for _ in range(shape[1])] for _ in range(shape[0])]
+    base = np.array(values, dtype=np.float64, order="F" if layout == "F" else "C")
+    if layout == "transposed":
+        return base.T
+    if layout == "strided":
+        return base[1::2, ::3]
+    return base
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(float_arrays())
+def test_dumps_writes_a_float_array_as_its_list(array):
+    assert dumps(array) == _reference(array.tolist())
+    assert dumps({"k": [array]}) == _reference({"k": [array.tolist()]})
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.ones((2, 2), dtype=np.int64),
+        np.ones((2, 2), dtype=bool),
+        np.ones((2, 2), dtype=np.float32),
+        np.ones(3),
+        np.ones((2, 2, 2)),
+        np.ones((0, 3)),
+        np.ones((3, 0)),
+        np.ones(()),
+    ],
+    ids=["int", "bool", "float32", "1-D", "3-D", "0-rows", "0-cols", "0-D"],
+)
+def test_dumps_rejects_every_other_array_as_json_does(array):
+    with pytest.raises(TypeError):
+        json.dumps(array)
+    with pytest.raises(TypeError):
+        dumps(array)
+    with pytest.raises(TypeError):
+        dumps({"k": [array]})

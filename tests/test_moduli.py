@@ -324,6 +324,40 @@ def test_doubling_fallback_gather_scores_subsets_outside_both_lists(monkeypatch)
     assert (report.constant, report.witness) == expected
 
 
+@pytest.mark.parametrize("n", [2, 3, 16, 64])
+def test_extreme_pairs_match_the_triu_index_formula(n):
+    # same pairs, values, order and dtypes as reading them through the
+    # full triu index arrays; the equilateral and S-valued hosts are all ties
+    rng = trial_rng(50, n)
+    hosts = [
+        random_space("closure", n, rng),
+        random_space("points_linf", n, rng),
+        random_s_ultrametric(n, geometric_range_set(0.5), rng),
+        _uniform_space(n),
+    ]
+    for space in hosts:
+        got = moduli._extreme_pairs(space.matrix)
+        expected = orc.extreme_pairs_by_triu(space.matrix)
+        for got_arrays, expected_arrays in zip(got, expected):
+            for a, b in zip(got_arrays, expected_arrays):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+
+
+def test_extreme_pairs_keep_no_index_array_over_all_pairs():
+    # the condensed values and one argpartition over them: 2 x 8 bytes per
+    # pair, where the triu index arrays added 16 more
+    space = random_space("points_linf", 512, trial_rng(49, 0))
+    pairs = 512 * 511 // 2
+    tracemalloc.start()
+    try:
+        moduli._extreme_pairs(space.matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * pairs + 2**16, peak
+
+
 def test_doubling_sampled_search_when_the_lists_hold_every_pair(monkeypatch):
     # with n <= 3 the n-pair lists hold all n(n-1)/2 pairs, so every
     # candidate reads both statistics from them and no sample falls back
@@ -456,8 +490,9 @@ def test_doubling_block_with_heads_of_two_size_classes(monkeypatch):
 
 
 def test_doubling_memory_stays_near_the_extreme_pair_lists():
-    # at n = 512 the peak is _extreme_pairs' triu index arrays (4.0 MiB);
-    # the block temporaries must not add more than 1 MiB on top of that
+    # at n = 512 _extreme_pairs peaks at 2.0 MiB (4.0 MiB while it built
+    # the triu index arrays); the bound is that old peak plus 1 MiB for
+    # the block temporaries
     for kind, beta in (("closure", 2.0), ("points_linf", 1.0)):
         space = random_space(kind, 512, trial_rng(49, 0))
         moduli._seeded_draws(0, 512, 2000)  # the cached draws are not counted

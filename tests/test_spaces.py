@@ -76,6 +76,27 @@ def test_separation_needs_two_points():
     lone = FiniteMetricSpace(("a",), np.zeros((1, 1)))
     with pytest.raises(SeparationUndefined):
         _ = lone.separation
+    with pytest.raises(SeparationUndefined):  # a failed read caches nothing
+        _ = lone.separation
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 64])
+def test_diameter_and_separation_are_the_gathered_formulas(n):
+    rng = trial_rng(12, n)
+    hosts = [
+        random_space("closure", n, rng),
+        random_space("points_linf", n, rng),
+        random_s_ultrametric(n, geometric_range_set(0.5), rng),
+    ]
+    for space in hosts:
+        off = ~np.eye(n, dtype=bool)
+        for name, value in (
+            ("diameter", float(space.matrix.max())),
+            ("separation", float(space.matrix[off].min())),
+        ):
+            got = getattr(space, name)
+            assert type(got) is float and got == value
+            assert getattr(space, name) is got  # computed once per space
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,19 @@
-"""Scale probe: host build, `diagnose`, `doubling_constant`, `up_constant`
-and the three approximation pipelines at n in {64, 256, 1024, 2048}.
+"""Scale probe: host build, `diagnose`, `doubling_constant`, `up_constant`,
+the three approximation pipelines and the `approximate` command at n in
+{64, 256, 1024, 2048}.
 
     PYTHONPATH=src python tools/scale_probe.py --out probe.json
 
 Hosts: the seeded closure and `points_linf` hosts of `lab.random_space`
 and an S-valued ultrametric (`lab.random_s_ultrametric`, S geometric
 with ratio 1/2).  Each pipeline runs at eps = diameter / 8; the
-S-valued host also runs `approximate_ud` with S.  `doubling_constant`
+S-valued host also runs `approximate_ud` with S.  The `cli_approximate_ud`
+and `cli_approximate_up` stages time the whole command,
+``metriclab approximate FILE --property P --epsilon 0.125 --fraction
+--out OUT`` run in-process: reading and validating the host's space file
+(written once per case, untimed), the pipeline and writing the output
+file, whose sha256 is reported so two versions can be seen to write the
+same bytes.  `doubling_constant`
 runs as `classify` calls it (beta = 2, the default budget, rng 0), and
 so does `up_constant` (r_min = the host's separation, computed untimed).
 Every (host, n) case runs in its own process, so its `ru_maxrss` is
@@ -26,6 +33,7 @@ checkout's `src` to compare two versions case by case):
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -33,6 +41,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 HOSTS = ("closure", "points_linf", "s_ultrametric")
@@ -58,10 +67,16 @@ def run_case(kind: str, n: int) -> dict:
         diagnose,
         doubling_constant,
         geometric_range_set,
+        space_to_json,
         up_constant,
     )
+    from metriclab.cli import main as cli_main
 
     samples: dict[str, list[float]] = {}
+    digests: dict[str, str] = {}
+    workdir = tempfile.TemporaryDirectory(prefix="scale_probe_")
+    space_path = os.path.join(workdir.name, "host.json")
+    out_path = os.path.join(workdir.name, "out.json")
 
     def timed(stage, fn):
         start = time.perf_counter()
@@ -84,12 +99,24 @@ def run_case(kind: str, n: int) -> dict:
         if kind == "s_ultrametric":
             S = geometric_range_set(0.5)
             timed("approximate_ud_S", lambda: approximate_ud(host, eps, S=S))
+        if not repeat:
+            with open(space_path, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(space_to_json(host)))
+        for prop in ("ud", "up"):
+            argv = ["approximate", space_path, "--property", prop]
+            argv += ["--epsilon", "0.125", "--fraction", "--out", out_path]
+            if timed(f"cli_approximate_{prop}", lambda: cli_main(argv)) != 0:
+                raise RuntimeError(f"metriclab {' '.join(argv)} failed")
+            with open(out_path, "rb") as handle:
+                digests[prop] = hashlib.sha256(handle.read()).hexdigest()
+    workdir.cleanup()
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
         "host": kind,
         "n": n,
         "median_s": {stage: statistics.median(xs) for stage, xs in samples.items()},
         "samples_s": samples,
+        "cli_output_sha256": digests,
         "peak_rss_mib": round(peak_kib / 1024, 1),
     }
 
