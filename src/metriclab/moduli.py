@@ -37,17 +37,11 @@ EXHAUSTIVE_LIMIT = 15
 # far inside 1e-12, so nothing that could tie or beat the best is skipped.
 _BOUND_MARGIN = 1 + 1e-12
 
-# Matrix entries the doubling search gathers per chunk while it bounds
-# its random subsets (or one subset's, when n is larger): each of a
-# chunk's temporaries is 32 KiB at most.
-_BOUND_CHUNK = 1 << 12
-
-# Block budgets in entries: centers, random subsets or up_constant rows
-# per block (128 KiB of floats), gathered heads per chunk (512 KiB; one
-# head may exceed it).  The first block of centers holds _FIRST_CENTERS.
+# Block budget in matrix entries: the kernels take fixed blocks of
+# _BLOCK_ENTRIES // width items (centers, random subsets or up_constant
+# rows, each n wide; at least one), 128 KiB of floats per temporary, and
+# gather heads of w points in chunks of max(w*w, _BLOCK_ENTRIES) entries.
 _BLOCK_ENTRIES = 1 << 14
-_CUBE_ENTRIES = 1 << 16
-_FIRST_CENTERS = 4
 
 # Draw tables (see :func:`_draw_subsets`) kept per process.
 _DRAW_CACHE_SIZE = 8
@@ -68,16 +62,18 @@ class Thresholds:
     @classmethod
     def from_json(cls, obj: dict) -> "Thresholds":
         """Read the thresholds from `obj`; absent ones keep their defaults,
-        and each given one must be a number (an int or a float, not a bool)."""
+        and each given one must be a number (an int or a float, not a bool),
+        finite but for beta0, whose range doubling_constant checks."""
         try:
             values = {f.name: obj.get(f.name, f.default) for f in fields(cls)}
         except AttributeError as exc:
             raise ValueError(f"malformed thresholds object: {exc}") from exc
         for name, value in values.items():
+            prefix = f"malformed thresholds object: {name}"
             if not _is_number(value):
-                raise ValueError(
-                    f"malformed thresholds object: {name} must be a number, got {value!r}"
-                )
+                raise ValueError(f"{prefix} must be a number, got {value!r}")
+            if name != "beta0" and not np.isfinite(value):
+                raise ValueError(f"{prefix} must be finite, got {value!r}")
         return cls(**{name: float(value) for name, value in values.items()})
 
 
@@ -203,20 +199,18 @@ def _extreme_pairs(matrix: np.ndarray):
 
 
 def _first_held(pairs, inside: np.ndarray):
-    """Value of the first listed pair with both ends inside, or None; for
-    a (rows, n) membership block, one value per row, NaN for none."""
+    """Per row of a (rows, n) membership block, the value of the first
+    listed pair with both ends inside, or NaN for none."""
     a, b, values = pairs
-    held = inside[..., a] & inside[..., b]
-    first = np.where(held.any(axis=-1), values[np.argmax(held, axis=-1)], np.nan)
-    return first if inside.ndim > 1 else None if np.isnan(first) else float(first)
+    held = inside[:, a] & inside[:, b]
+    return np.where(held.any(axis=1), values[np.argmax(held, axis=1)], np.nan)
 
 
-def _growing_blocks(count: int, most: int, first: int = 1):
-    """(start, stop) ranges covering range(count): `first` items, then doubling up to `most`."""
-    start, step = 0, min(first, most)
-    while start < count:
+def _blocks(count: int, width: int):
+    """(start, stop) ranges covering range(count), max(1, _BLOCK_ENTRIES // width) at a time."""
+    step = max(1, _BLOCK_ENTRIES // width)
+    for start in range(0, count, step):
         yield start, min(start + step, count)
-        start, step = start + step, min(2 * step, most)
 
 
 def _ball_prefix_candidates(matrix: np.ndarray, beta: float, floor, extremes):
@@ -227,11 +221,12 @@ def _ball_prefix_candidates(matrix: np.ndarray, beta: float, floor, extremes):
     witness tuple) of the best prefix (the first argmax) per center that
     can reach the caller's best.  The caller keeps the largest ratio,
     then the least tuple, whatever the order of arrival, so centers are
-    scored in blocks (:func:`_growing_blocks`) and `floor()` is read
-    per block, not per center.  P_r holds (o_1, o_0) and (o_r, o_0), so its ratio
-    is at most bound_r = (r+1) * (d(o_1, o_0) / d(o_r, o_0))**beta;
-    ``**`` is off by a few ulps, so a prefix is live only if bound_r *
-    _BOUND_MARGIN reaches the floor, and a dead one scores below it.
+    scored in fixed blocks of _BLOCK_ENTRIES // n (:func:`_blocks`) and
+    `floor()` is read per block, not per center.  P_r holds (o_1, o_0)
+    and (o_r, o_0), so its ratio is at most bound_r = (r+1) * (d(o_1,
+    o_0) / d(o_r, o_0))**beta; ``**`` is off by a few ulps, so a prefix is
+    live only if bound_r * _BOUND_MARGIN reaches the floor, and a dead one
+    scores below it.
 
     With rank(x) the position of x in the order, P_r holds the listed
     pair (a, b) of `extremes` (:func:`_extreme_pairs`) iff max(rank(a),
@@ -248,7 +243,7 @@ def _ball_prefix_candidates(matrix: np.ndarray, beta: float, floor, extremes):
     cards = np.arange(2, n + 1, dtype=float)
     prefixes = np.arange(1, n)
     everything = tuple(range(n))
-    for lo, hi in _growing_blocks(n, max(1, _BLOCK_ENTRIES // n), _FIRST_CENTERS):
+    for lo, hi in _blocks(n, n):
         order = np.argsort(matrix[lo:hi], axis=1, kind="stable")
         arm = matrix[order[:, 1:], order[:, :1]]
         bounds = cards * (arm[:, :1] / arm) ** beta * _BOUND_MARGIN
@@ -291,12 +286,12 @@ def _held_values(enter, values, tail):
 def _head_prefixes(matrix, beta, cards, order, sizes):
     """Yields (centers, ratios of P_1 .. P_{w-1}) for heads of h >= 2 points, by
     chunks: the largest head left, of w points, and the next by size while
-    h > w/2 and the cube stays within max(w*w, _CUBE_ENTRIES) entries."""
+    h > w/2 and the cube stays within max(w*w, _BLOCK_ENTRIES) entries."""
     members = np.argsort(-sizes, kind="stable")[: np.count_nonzero(sizes >= 2)]
     lo = 0
     while lo < members.size:
         width = int(sizes[members[lo]])
-        group = members[lo : lo + max(1, _CUBE_ENTRIES // (width * width))]
+        group = members[lo : lo + max(1, _BLOCK_ENTRIES // (width * width))]
         group = group[2 * sizes[group] > width]
         lo += group.size
         cube = matrix[order[group, :width, None], order[group, None, :width]]
@@ -336,20 +331,18 @@ def _arm_bounds(matrix: np.ndarray, beta: float, sizes: np.ndarray, flat: np.nda
     """Arm bound k * (min arm / max arm)**beta of every drawn subset.
 
     The arm of a subset A = (a_0, ..., a_{k-1}) is d(a_0, a) over its
-    other points a.  Subsets are taken max(1, _BOUND_CHUNK // n) at a
-    time, so a chunk holds at most max(n, _BOUND_CHUNK) drawn points.
-    Each chunk is one gather of d(a_0, a) over all its points (a_0's own
-    0 included), then ``maximum.reduceat`` per subset and, with that 0
-    set to inf, ``minimum.reduceat``.  Returns the bounds and each
-    subset's offset into `flat`.
+    other points a.  Subsets are taken in fixed blocks of _BLOCK_ENTRIES
+    // n (:func:`_blocks`), so a block holds at most max(n, _BLOCK_ENTRIES)
+    drawn points.  Each block is one gather of d(a_0, a) over all its
+    points (a_0's own 0 included), then ``maximum.reduceat`` per subset
+    and, with that 0 set to inf, ``minimum.reduceat``.  Returns the
+    bounds and each subset's offset into `flat`.
     """
     n = matrix.shape[0]
     ends = np.cumsum(sizes)
     starts = ends - sizes
     bounds = np.empty(sizes.size)
-    step = max(1, _BOUND_CHUNK // n)
-    for lo in range(0, sizes.size, step):
-        hi = min(lo + step, sizes.size)
+    for lo, hi in _blocks(sizes.size, n):
         points = flat[starts[lo] : ends[hi - 1]]
         heads = starts[lo:hi] - starts[lo]
         arms = matrix[np.repeat(points[heads], sizes[lo:hi]), points]
@@ -390,9 +383,9 @@ def doubling_constant(
     best, without changing its result.  For a random subset A, one arm
     d(a_0, a) over its other points a is read: sep(A) <= min arm and
     diam(A) >= max arm, so card * (min arm / max arm)**beta bounds its
-    ratio.  Every subset's bound is computed at once, in chunks
-    (:func:`_arm_bounds`); the subsets whose bound times _BOUND_MARGIN
-    reaches the best are then scored in blocks, as rows of a membership
+    ratio.  Every subset's bound is computed at once (:func:`_arm_bounds`);
+    the subsets whose bound times _BOUND_MARGIN reaches the best are then
+    scored in fixed blocks of _BLOCK_ENTRIES // n, as rows of a membership
     matrix (one ``argmax`` per row finds each list's first held pair),
     and only those whose numpy ratio times the margin still reaches the
     best get their exact ratio (:func:`_subset_ratio`) and witness.
@@ -444,9 +437,8 @@ def doubling_constant(
         consider(ratio, subset)
     bounds, starts = _arm_bounds(m, beta, sizes, flat)
     passed = np.nonzero(bounds * _BOUND_MARGIN >= best)[0]
-    step = max(1, _BLOCK_ENTRIES // n)
-    for lo in range(0, passed.size, step):
-        block = passed[lo : lo + step]
+    for lo, hi in _blocks(passed.size, n):
+        block = passed[lo:hi]
         k = sizes[block]
         ends = np.cumsum(k)
         points = flat[np.arange(ends[-1]) + np.repeat(starts[block] - (ends - k), k)]
@@ -505,7 +497,7 @@ def up_constant(space: FiniteMetricSpace, r_min: float) -> UPReport:
     radius at which the constraint binds (the right end of the binding
     interval; for c* = 0 the concrete failing radius r_min).
 
-    Rows are sorted in blocks (:func:`_growing_blocks`), diagonal 0
+    Rows are sorted in fixed blocks of _BLOCK_ENTRIES // n, diagonal 0
     dropped.  A repeated distance a_k = a_{k+1} has an empty interval
     [max(a_k, r_min), min(a_{k+1}, diameter)), so the live intervals are
     those of the distinct distances, in order: the first minimum per row
@@ -520,7 +512,7 @@ def up_constant(space: FiniteMetricSpace, r_min: float) -> UPReport:
         )
     best = np.inf
     witness = (0, r_min)
-    for start, stop in _growing_blocks(space.n, max(1, _BLOCK_ENTRIES // space.n)):
+    for start, stop in _blocks(space.n, space.n):
         dists = np.sort(space.matrix[start:stop], axis=1)[:, 1:]
         isolated = dists[:, 0] > r_min
         if isolated.any():

@@ -514,6 +514,24 @@ def test_malformed_thresholds_are_a_clean_error(tmp_path, capsys, thresholds):
 
 
 @pytest.mark.parametrize(
+    "text",
+    ['{"c_max": NaN, "delta_min": Infinity}', '{"delta_min": -Infinity}', '{"c_min": NaN}'],
+    ids=["c_max_nan", "delta_min_minus_inf", "c_min_nan"],
+)
+def test_non_finite_thresholds_are_a_clean_error(tmp_path, capsys, text):
+    # NaN and inf used to exit 0: the all-ones ladder classified as 001
+    # and the output held "c_max": NaN, which is not JSON
+    space = _write(tmp_path, "space.json", _line_space_json([0.0, 1.0, 3.0], "abc"))
+    path = tmp_path / "thresholds.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["moduli", space, "--thresholds", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed thresholds object:")
+    assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize(
     "field",
     [
         {"experiment": "dense_ud", "n": 3.5},

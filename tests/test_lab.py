@@ -116,6 +116,13 @@ def test_config_json_values_are_not_coerced(fields):
         ExperimentConfig.from_json({"experiment": "dense_ud", **fields})
 
 
+@pytest.mark.parametrize("name", ["c_max", "delta_min", "c_min"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_thresholds(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ExperimentConfig.from_json({"experiment": "dense_ud", "thresholds": {name: value}})
+
+
 def test_config_thresholds_take_ints_and_floats():
     config = ExperimentConfig.from_json(
         {"experiment": "dense_ud", "thresholds": {"beta0": 3, "c_min": 0.25}}

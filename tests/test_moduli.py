@@ -236,9 +236,11 @@ def _doubling_host(kind: str, n: int, seed: int) -> FiniteMetricSpace:
     return random_space(kind, n, trial_rng(seed, 0))
 
 
-# This many random subsets fill at least three chunks of the arm bounds
-# at every sampled n (a chunk holds _BOUND_CHUNK // n subsets).
-_SEVERAL_CHUNKS = 3 * (moduli._BOUND_CHUNK // (EXHAUSTIVE_LIMIT + 1))
+# Under this block budget, this many random subsets fill at least three
+# blocks of the arm bounds at every sampled n (a block holds
+# _BLOCK_ENTRIES // n subsets).
+_SEVERAL_CHUNKS_BUDGET = 1 << 12
+_SEVERAL_CHUNKS = 3 * (_SEVERAL_CHUNKS_BUDGET // (EXHAUSTIVE_LIMIT + 1))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -253,9 +255,11 @@ _SEVERAL_CHUNKS = 3 * (moduli._BOUND_CHUNK // (EXHAUSTIVE_LIMIT + 1))
 def test_doubling_sampled_matches_the_unpruned_search(kind, n, beta, budget, seed):
     # the pruned search skips only candidates strictly below the running
     # best, so constant, witness and mode equal those of the full scan;
-    # the larger budgets bound their subsets over several chunks
+    # the larger budgets bound their subsets over several blocks
     space = _doubling_host(kind, n, seed)
-    report = doubling_constant(space, beta, budget=budget, rng=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(moduli, "_BLOCK_ENTRIES", _SEVERAL_CHUNKS_BUDGET)
+        report = doubling_constant(space, beta, budget=budget, rng=seed)
     expected = orc.doubling_sampled_by_full_scan(space.matrix, beta, budget, seed)
     assert (report.constant, report.witness, report.mode) == (*expected, "sampled")
 
@@ -318,7 +322,7 @@ def test_doubling_fallback_gather_scores_subsets_outside_both_lists(monkeypatch)
     assert report.witness == (11, 24, 38)
     inside = np.isin(np.arange(space.n), report.witness)
     for pairs in moduli._extreme_pairs(space.matrix):
-        assert moduli._first_held(pairs, inside) is None
+        assert np.isnan(moduli._first_held(pairs, inside[None])).all()
     assert calls
     expected = orc.doubling_sampled_by_full_scan(space.matrix, 1.0, 2000, 5)
     assert (report.constant, report.witness) == expected
@@ -426,9 +430,9 @@ def test_doubling_bounds_skip_most_random_subsets(monkeypatch):
     assert len(calls) < 200
 
 
-# The smallest block budgets: one center per ball-prefix block, one
-# center per gathered head chunk, one subset per walk block.
-_SMALLEST_BLOCKS = {"_BLOCK_ENTRIES": 1, "_CUBE_ENTRIES": 1, "_FIRST_CENTERS": 1}
+# The smallest block budget: one center per ball-prefix block, one
+# center per gathered head chunk, one subset per arm-bound and walk block.
+_SMALLEST_BLOCKS = {"_BLOCK_ENTRIES": 1}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
