@@ -19,6 +19,7 @@ returns the resulting bit vector.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
 
@@ -72,7 +73,7 @@ class Thresholds:
             prefix = f"malformed thresholds object: {name}"
             if not _is_number(value):
                 raise ValueError(f"{prefix} must be a number, got {value!r}")
-            if name != "beta0" and not np.isfinite(value):
+            if name != "beta0" and not math.isfinite(value):
                 raise ValueError(f"{prefix} must be finite, got {value!r}")
         return cls(**{name: float(value) for name, value in values.items()})
 

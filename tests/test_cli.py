@@ -461,6 +461,7 @@ HUGE = 10**400
     [
         ({"experiment": "dense_ud", "n": 12, "epsilon": HUGE}, [["experiment", "FILE"]]),
         ({"beta0": HUGE}, [["moduli", "SPACE", "--thresholds", "FILE"]]),
+        ({"c_max": HUGE}, [["moduli", "SPACE", "--thresholds", "FILE"]]),
         (
             {"labels": ["a", "b"], "matrix": [[0, HUGE], [HUGE, 0]]},
             [["validate", "FILE"], ["moduli", "FILE"]],
@@ -474,7 +475,7 @@ HUGE = 10**400
             [["cantor", "gen", "--sequence", "FILE", "--depth", "2"]],
         ),
     ],
-    ids=["config_epsilon", "thresholds", "space_matrix", "rangeset_ratio", "sequence"],
+    ids=["config_epsilon", "thresholds", "thresholds_c_max", "space_matrix", "rangeset_ratio", "sequence"],
 )
 def test_an_integer_too_large_for_a_float_is_a_clean_error(tmp_path, capsys, obj, commands):
     files = {
@@ -511,6 +512,14 @@ def test_malformed_thresholds_are_a_clean_error(tmp_path, capsys, thresholds):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: malformed thresholds object:")
+
+
+def test_an_integer_threshold_beyond_uint64_is_read_as_a_float(tmp_path, capsys):
+    # 2**70 is finite; checking it as a numpy array would raise TypeError
+    space = _write(tmp_path, "space.json", _line_space_json([0.0, 1.0, 3.0], "abc"))
+    path = _write(tmp_path, "thresholds.json", {"c_max": 2**70})
+    assert main(["moduli", space, "--thresholds", path]) == 0
+    assert json.loads(capsys.readouterr().out)["thresholds"]["c_max"] == 2.0**70
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,6 @@
 """Mutant table: planted faults that the test suite must catch.
 
-    python tools/mutants.py                       # every row, JSON on stdout
-    python tools/mutants.py --only NAME [NAME ...] --out mutants.json
+    python tools/mutants.py > mutants.json        # every row, JSON on stdout
 
 Each row is (name, file, old text, new text, test node ids).  For each
 row the runner copies `src/` to a temporary directory, replaces the
@@ -16,7 +15,6 @@ from the repository root; it uses only the standard library.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -157,19 +155,9 @@ def run(mutant: Mutant) -> dict:
     return {**row, "status": status, "summary": tail[0] if tail else ""}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="run only these rows")
-    parser.add_argument("--out", default="-", help="JSON file to write (default: stdout)")
-    args = parser.parse_args(argv)
-    rows = [m for m in MUTANTS if not args.only or m.name in args.only]
-    results = [run(m) for m in rows]
-    text = json.dumps(results, indent=2) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def main() -> int:
+    json.dump([run(m) for m in MUTANTS], sys.stdout, indent=2)
+    sys.stdout.write("\n")
     return 0
 
 
