@@ -117,7 +117,8 @@ class Embedding:
         return pairwise_linf(self.coordinates)
 
     def to_json(self) -> dict:
-        return {"dimension": self.dimension, "coordinates": self.coordinates.tolist()}
+        """The coordinates stay the ndarray, which :func:`jsontext.dumps` writes."""
+        return {"dimension": self.dimension, "coordinates": self.coordinates}
 
 
 def pairwise_linf(coords: np.ndarray) -> np.ndarray:

@@ -7,11 +7,11 @@ hold 2-D float64 ndarrays with at least one entry, each written as its
 `json.dumps` does.  The module exists because ``indent`` sends `json` down
 its pure-Python encoder, which formats every float of an output matrix on
 its own, while an ultrametric on n points has at most n - 1 distinct
-nonzero distances.  So a float matrix (such an ndarray, or a list of
-equal-length lists of Python floats, converted once with `np.array`) is
-written by formatting each distinct value once, with one call to the C
-encoder, and joining its rows from those strings; everything else is
-written the way the indenting encoder writes it.
+nonzero distances.  So a float matrix, which every caller hands over as
+such an ndarray, is written by formatting each distinct value once, with
+one call to the C encoder, and joining its rows from those strings;
+everything else (lists of float lists too) is written the way the
+indenting encoder writes it.
 """
 
 from __future__ import annotations
@@ -45,9 +45,6 @@ def _write(obj, level: int, out: list[str]) -> None:
         _write_float_matrix(obj, level, out)
         return
     elif isinstance(obj, (list, tuple)):
-        if _is_float_matrix(obj):
-            _write_float_matrix(np.array(obj), level, out)
-            return
         items = [("", value) for value in obj]
         brackets = "[]"
     else:
@@ -62,17 +59,6 @@ def _write(obj, level: int, out: list[str]) -> None:
         out.append((inner if k == 0 else "," + inner) + prefix)
         _write(value, level + 1, out)
     out.append("\n" + _INDENT * level + brackets[1])
-
-
-def _is_float_matrix(rows) -> bool:
-    """A non-empty list of equal-length, non-empty lists of exact floats."""
-    if type(rows) is not list or not rows or type(rows[0]) is not list:
-        return False
-    width = len(rows[0])
-    return all(
-        type(row) is list and len(row) == width and set(map(type, row)) == {float}
-        for row in rows
-    )
 
 
 def _write_float_matrix(matrix: np.ndarray, level: int, out: list[str]) -> None:

@@ -48,42 +48,43 @@ _BLOCK_ENTRIES = 1 << 14
 _DRAW_CACHE_SIZE = 8
 
 
+def _is_number(value) -> bool:
+    """A real number that is not a bool (JSON true/false are not numbers)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Thresholds:
-    """Classification thresholds (defaults are pinned by the test suite)."""
+    """Classification thresholds (defaults are pinned by the test suite):
+    numbers (not bools), kept as floats, and finite but for beta0, whose
+    range doubling_constant checks."""
 
     beta0: float = 2.0
     c_max: float = 32.0
     delta_min: float = 0.05
     c_min: float = 0.05
 
+    def __post_init__(self):
+        for name, value in asdict(self).items():
+            if not _is_number(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if name != "beta0" and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, float(value))
+
     def to_json(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "Thresholds":
-        """Read the thresholds from `obj`; absent ones keep their defaults,
-        and each given one must be a number (an int or a float, not a bool),
-        finite but for beta0, whose range doubling_constant checks."""
+        """Read the thresholds from `obj`; absent ones keep their defaults."""
         try:
-            values = {f.name: obj.get(f.name, f.default) for f in fields(cls)}
-        except AttributeError as exc:
+            return cls(**{f.name: obj.get(f.name, f.default) for f in fields(cls)})
+        except (AttributeError, ValueError) as exc:
             raise ValueError(f"malformed thresholds object: {exc}") from exc
-        for name, value in values.items():
-            prefix = f"malformed thresholds object: {name}"
-            if not _is_number(value):
-                raise ValueError(f"{prefix} must be a number, got {value!r}")
-            if name != "beta0" and not math.isfinite(value):
-                raise ValueError(f"{prefix} must be finite, got {value!r}")
-        return cls(**{name: float(value) for name, value in values.items()})
 
 
 DEFAULT_THRESHOLDS = Thresholds()
-
-
-def _is_number(value) -> bool:
-    """A real number that is not a bool (JSON true/false are not numbers)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -303,14 +304,16 @@ def _head_prefixes(matrix, beta, cards, order, sizes):
         yield group, cards[: width - 1] * (sep[:, 1:] / diam[:, 1:]) ** beta
 
 
-def _draw_subsets(generator: np.random.Generator, n: int, budget: int):
-    """`budget` random subsets of range(n), drawn as the doubling search
-    draws them: integers(2, n + 1) for the size k, then
-    choice(n, size=k, replace=False), one subset after the other.
+@functools.lru_cache(maxsize=_DRAW_CACHE_SIZE)
+def _draw_subsets(seed: int, n: int, budget: int):
+    """`budget` random subsets of range(n), drawn from default_rng(seed)
+    as the doubling search draws them: integers(2, n + 1) for the size
+    k, then choice(n, size=k, replace=False), one subset after the other.
 
     Returns read-only (sizes, flat): the sizes, and every draw in order
     concatenated, in the smallest unsigned dtype that holds n - 1.
     """
+    generator = np.random.default_rng(seed)
     dtype = np.min_scalar_type(n - 1)
     sizes = np.empty(budget, dtype=np.intp)
     draws = [np.empty(0, dtype)]
@@ -321,11 +324,6 @@ def _draw_subsets(generator: np.random.Generator, n: int, budget: int):
     flat = np.concatenate(draws)
     sizes.flags.writeable = flat.flags.writeable = False
     return sizes, flat
-
-
-@functools.lru_cache(maxsize=_DRAW_CACHE_SIZE)
-def _seeded_draws(seed: int, n: int, budget: int):
-    return _draw_subsets(np.random.default_rng(seed), n, budget)
 
 
 def _arm_bounds(matrix: np.ndarray, beta: float, sizes: np.ndarray, flat: np.ndarray):
@@ -355,10 +353,7 @@ def _arm_bounds(matrix: np.ndarray, beta: float, sizes: np.ndarray, flat: np.nda
 
 
 def doubling_constant(
-    space: FiniteMetricSpace,
-    beta: float,
-    budget: int = 2000,
-    rng=0,
+    space: FiniteMetricSpace, beta: float, budget: int = 2000, rng: int = 0
 ) -> DoublingReport:
     """Largest card(A) / (diam(A)/sep(A))**beta over subsets A.
 
@@ -368,17 +363,12 @@ def doubling_constant(
     sorted-row ball prefixes; the result is then a lower bound for the
     true constant and the report says so via mode="sampled".
 
-    The random subsets depend on (rng, n, budget) only, never on the
-    matrix, so they are drawn into one table (:func:`_draw_subsets`):
-    each subset's size from integers(2, n + 1), then its points from
-    choice(n, size=k, replace=False), in the order the search used to
-    draw them.  For an int seed the table is cached per process under
-    the key (seed, n, budget), at most _DRAW_CACHE_SIZE keys, and its
-    arrays are read-only since calls share them.  One key holds about
-    budget * (n + 2) / 2 small ints: 4 MiB at n = 2048 with the default
-    budget.  Any other rng (None, a SeedSequence, a Generator) draws an
-    uncached table from default_rng(rng), so a passed Generator advances
-    exactly as before.
+    `rng` is an integer seed.  The random subsets depend on (rng, n,
+    budget) only, never on the matrix, so they are drawn into one table
+    (:func:`_draw_subsets`), cached per process under that key, at most
+    _DRAW_CACHE_SIZE keys; its arrays are read-only since calls share
+    them.  One key holds about budget * (n + 2) / 2 small ints: 4 MiB at
+    n = 2048 with the default budget.
 
     The search skips candidates that provably cannot reach the running
     best, without changing its result.  For a random subset A, one arm
@@ -408,6 +398,8 @@ def doubling_constant(
         raise ValueError("beta must be positive and finite")
     if not isinstance(budget, numbers.Integral) or isinstance(budget, bool) or budget < 0:
         raise ValueError("budget must be a nonnegative integer")
+    if not isinstance(rng, numbers.Integral) or isinstance(rng, bool):
+        raise ValueError("rng must be an integer seed")
     m = space.matrix
     n = space.n
 
@@ -415,11 +407,7 @@ def doubling_constant(
         constant, witness = _exhaustive_doubling(m, beta)
         return DoublingReport(beta, constant, witness, "exhaustive")
 
-    budget = int(budget)
-    if isinstance(rng, numbers.Integral) and not isinstance(rng, bool):
-        sizes, flat = _seeded_draws(int(rng), n, budget)
-    else:
-        sizes, flat = _draw_subsets(np.random.default_rng(rng), n, budget)
+    sizes, flat = _draw_subsets(int(rng), n, int(budget))
     best = -np.inf
     witness: tuple[int, ...] = ()
 
@@ -544,14 +532,15 @@ def classify(
     space: FiniteMetricSpace,
     thresholds: Thresholds | None = None,
     r_min: float | None = None,
-    rng=0,
+    rng: int = 0,
 ) -> TypeVector:
     """Measure all three moduli and compare against thresholds.
 
-    r_min defaults to the smallest positive distance.  When the scale
-    window [r_min, diameter) is empty (two-point and uniform spaces),
-    the perfectness constant is reported as 0 with degenerate=True
-    rather than raising, so such spaces classify with u3 = 0.
+    `rng` is the integer seed of the doubling search.  r_min defaults to
+    the smallest positive distance.  When the scale window [r_min,
+    diameter) is empty (two-point and uniform spaces), the perfectness
+    constant is reported as 0 with degenerate=True rather than raising,
+    so such spaces classify with u3 = 0.
     """
     if thresholds is None:
         thresholds = DEFAULT_THRESHOLDS
@@ -583,7 +572,7 @@ def ud_report_to_json(report: UDReport, include_matrix: bool = True) -> dict:
         "witness_pair": list(report.witness_pair),
     }
     if include_matrix:
-        obj["bottleneck_matrix"] = report.bottleneck.tolist()
+        obj["bottleneck_matrix"] = report.bottleneck
     return obj
 
 

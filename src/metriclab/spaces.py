@@ -335,9 +335,9 @@ def sup_distance(d: FiniteMetricSpace, e: FiniteMetricSpace) -> float:
     return float(np.abs(d.matrix - e.matrix).max())
 
 
-def _require_s_valued(named, S: RangeSet, tol: float = DEFAULT_TOL) -> None:
+def _require_s_valued(named, S: RangeSet) -> None:
     """Raise unless every (name, space) in `named` is ultrametric-flavored
-    with every entry in S within tol * (the largest entry of them all).
+    with every entry in S within DEFAULT_TOL * (their largest entry).
 
     This is the one rule for "an S-valued ultrametric" that the distance
     over S and the max-form amalgam share.  Each matrix is read once, by
@@ -347,29 +347,24 @@ def _require_s_valued(named, S: RangeSet, tol: float = DEFAULT_TOL) -> None:
         if space.flavor != ULTRAMETRIC:
             raise NotUltrametric(f"{name} is not ultrametric-flavored")
     values = [(name, np.unique(space.matrix)) for name, space in named]
-    slack = tol * max(float(unique[-1]) for _, unique in values)
+    slack = DEFAULT_TOL * max(float(unique[-1]) for _, unique in values)
     for name, unique in values:
         for value in unique.tolist():
             if not contains(S, value, slack):
                 raise ValueOutsideRangeSet(f"{name} has value {value!r} outside S")
 
 
-def ultra_distance(
-    d: FiniteMetricSpace,
-    e: FiniteMetricSpace,
-    S: RangeSet,
-    tol: float = DEFAULT_TOL,
-) -> float:
+def ultra_distance(d: FiniteMetricSpace, e: FiniteMetricSpace, S: RangeSet) -> float:
     """Least element of S (or +inf) covering every differing pair.
 
     For S-valued ultrametrics d, e this equals the least epsilon in
     S u {inf} with d <= max(e, epsilon) and e <= max(d, epsilon)
     pairwise: epsilon must dominate M = max over differing pairs of
     max(d, e), and the answer is the least element of S >= M (0 when
-    d = e).  Both inputs must pass :func:`_require_s_valued` at tol.
+    d = e).  Both inputs must pass :func:`_require_s_valued`.
     """
     _require_shared_labels(d, e)
-    _require_s_valued((("the first space", d), ("the second space", e)), S, tol)
+    _require_s_valued((("the first space", d), ("the second space", e)), S)
     differ = d.matrix != e.matrix
     if not differ.any():
         return 0.0

@@ -616,25 +616,31 @@ def test_outputs_are_the_indenting_encoders_bytes(tmp_path, capsys, monkeypatch)
     seq = _write(tmp_path, "seq.json", {"values": [0.8, 0.4, 0.2], "envelope": None})
     config = _write(tmp_path, "cfg.json", {"experiment": "dense_ud", "n": 12, "trials": 2})
     approximate = ["approximate", space, "--epsilon", "0.125", "--fraction", "--property"]
-    # argv, and where the emitted object holds a space (None: it holds none)
-    for argv, space_at in (
-        (["validate", space], None),
-        (["moduli", space, "--full"], None),
-        (approximate + ["doubling"], "space"),
-        (approximate + ["ud"], "space"),
-        (approximate + ["up"], "space"),
-        (["approximate", ultra, "--property", "ud", "--epsilon", "0.125", "--rangeset", S], "space"),
-        (["amalgamate", host, part, piece0, piece1], ""),
-        (["cantor", "gen", "--type", "110", "--depth", "4"], "space"),
-        (["cantor", "gen", "--sequence", seq, "--depth", "3"], "space"),
-        (["experiment", config], None),
+    # argv, and the key paths of the output matrices the emitted object holds
+    matrix = ("space", "matrix")
+    for argv, matrices in (
+        (["validate", space], ()),
+        (["moduli", space, "--full"], (("reports", "ud", "bottleneck_matrix"),)),
+        (approximate + ["doubling"], (matrix, ("embedding", "coordinates"))),
+        (approximate + ["ud"], (matrix,)),
+        (approximate + ["up"], (matrix,)),
+        (
+            ["approximate", ultra, "--property", "ud", "--epsilon", "0.125", "--rangeset", S],
+            (matrix,),
+        ),
+        (["amalgamate", host, part, piece0, piece1], (("matrix",),)),
+        (["cantor", "gen", "--type", "110", "--depth", "4"], (matrix,)),
+        (["cantor", "gen", "--sequence", seq, "--depth", "3"], (matrix,)),
+        (["experiment", config], ()),
     ):
         payloads.clear()
         assert main(argv) == 0, argv
         assert len(payloads) == 1
-        if space_at is not None:
-            emitted = payloads[0][space_at] if space_at else payloads[0]
-            assert type(emitted["matrix"]) is np.ndarray, argv  # the writer's array path
+        for path in matrices:
+            emitted = payloads[0]
+            for key in path:
+                emitted = emitted[key]
+            assert type(emitted) is np.ndarray, (argv, path)  # the writer's array path
         expected = (
             json.dumps(payloads[0], sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n"
         )

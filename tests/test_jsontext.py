@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metriclab.jsontext import _is_float_matrix, dumps
+from metriclab.jsontext import dumps
 
 
 def _reference(value) -> str:
@@ -80,13 +80,6 @@ def test_dumps_matches_the_indenting_encoder(value):
 )
 def test_dumps_matches_on_keys_escapes_and_shapes(value):
     assert dumps(value) == _reference(value)
-
-
-def test_only_rectangular_lists_of_floats_take_the_matrix_path():
-    assert _is_float_matrix([[1.0]])
-    assert _is_float_matrix([[-0.0, math.nan], [math.inf, 5e-324]])
-    for value in ([[1, 2.0]], [[True]], [[1.0], [2.0, 3.0]], [[]], [(1.0,)], ([1.0],)):
-        assert not _is_float_matrix(value)
 
 
 @st.composite

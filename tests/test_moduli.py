@@ -1,5 +1,6 @@
 """The three moduli (doubling, disconnectedness, perfectness) and classify."""
 
+import dataclasses
 import tracemalloc
 from types import SimpleNamespace
 
@@ -284,9 +285,9 @@ def test_doubling_sampled_matches_the_unpruned_search_on_large_closure_hosts(
 
 def test_doubling_draw_tables_follow_the_seed_n_and_budget():
     # the random subsets hang on (seed, n, budget) alone: interleaved
-    # calls that repeat a key, change n, shrink the budget under the
-    # same seed or pass a Generator each give the unpruned search's
-    # report, and a passed Generator ends where the oracle's draws leave it
+    # calls that repeat a key, change n or shrink the budget under the
+    # same seed each give the unpruned search's report, and a seed that
+    # is not an integer is refused, on small spaces too
     host = random_space("points_linf", 40, trial_rng(46, 0))
     other = random_space("closure", 40, trial_rng(46, 1))
     smaller = random_space("sequential", 24, trial_rng(46, 2))
@@ -294,11 +295,12 @@ def test_doubling_draw_tables_follow_the_seed_n_and_budget():
         report = doubling_constant(space, 2.0, budget=budget, rng=7)
         expected = orc.doubling_sampled_by_full_scan(space.matrix, 2.0, budget, 7)
         assert (report.constant, report.witness, report.mode) == (*expected, "sampled")
-    generator, oracle_generator = np.random.default_rng(7), np.random.default_rng(7)
-    report = doubling_constant(host, 2.0, budget=300, rng=generator)
-    expected = orc.doubling_sampled_by_full_scan(host.matrix, 2.0, 300, oracle_generator)
-    assert (report.constant, report.witness) == expected
-    assert generator.integers(2**62) == oracle_generator.integers(2**62)
+    assert doubling_constant(host, 2.0, budget=300, rng=np.int64(7)) == report
+    tiny = random_space("closure", 4, trial_rng(46, 3))
+    for rng in (np.random.default_rng(7), np.random.SeedSequence(7), None, 1.5, True):
+        for space in (host, tiny):
+            with pytest.raises(ValueError, match="rng must be an integer seed"):
+                doubling_constant(space, 2.0, budget=300, rng=rng)
 
 
 def _count_fill_diagonal(monkeypatch) -> list:
@@ -499,7 +501,7 @@ def test_doubling_memory_stays_near_the_extreme_pair_lists():
     # the block temporaries
     for kind, beta in (("closure", 2.0), ("points_linf", 1.0)):
         space = random_space(kind, 512, trial_rng(49, 0))
-        moduli._seeded_draws(0, 512, 2000)  # the cached draws are not counted
+        moduli._draw_subsets(0, 512, 2000)  # the cached draws are not counted
         tracemalloc.start()
         try:
             doubling_constant(space, beta)
@@ -681,6 +683,18 @@ def test_classify_threshold_flips():
     assert strict.u3 == 0
     loose = classify(space, thresholds=Thresholds(c_max=1.0))
     assert loose.u1 == 0
+
+
+@pytest.mark.parametrize(
+    "field", [{"c_max": float("nan")}, {"delta_min": float("inf")}, {"c_min": True}]
+)
+def test_thresholds_are_checked_where_they_are_built(field):
+    # direct construction and dataclasses.replace check as from_json does,
+    # so no NaN reaches a type vector or its JSON
+    with pytest.raises(ValueError, match="must be finite|must be a number"):
+        Thresholds(**field)
+    with pytest.raises(ValueError, match="must be finite|must be a number"):
+        dataclasses.replace(Thresholds(), **field)
 
 
 def test_thresholds_json_round_trip():

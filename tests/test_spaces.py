@@ -439,26 +439,27 @@ def test_ultra_distance_zero_on_equal_inputs():
 
 
 def test_ultra_distance_frozen_pair_2_3_rounds_up_to_4():
-    # values 2 and 3 sit outside S = {0, 1, 4, 8}: the default tolerance
-    # rejects them, while an explicitly loosened tolerance admits them and
-    # the closed form rounds M = 3 up to the least S element 4 (eps = 1
-    # fails the pairwise envelope inequalities, eps = 4 satisfies them).
+    # values 2 and 3 sit outside S = {0, 1, 4, 8}, so the library rejects
+    # them; the definitional scan rounds M = 3 up to the least S element
+    # 4 (eps = 1 fails the pairwise envelope inequalities, eps = 4
+    # satisfies them).
     S = explicit_range_set([0.0, 1.0, 4.0, 8.0])
     d = validate(("a", "b"), np.array([[0.0, 2.0], [2.0, 0.0]]), flavor="ultrametric")
     e = validate(("a", "b"), np.array([[0.0, 3.0], [3.0, 0.0]]), flavor="ultrametric")
     with pytest.raises(ValueOutsideRangeSet):
         ultra_distance(d, e, S)
-    got = ultra_distance(d, e, S, tol=0.5)
+    got = orc.ultra_dist(d.matrix, e.matrix, [0.0, 1.0, 4.0, 8.0])
     assert got == orc.FROZEN["ultra_single_pair"]
-    assert got == orc.ultra_dist(d.matrix, e.matrix, [0.0, 1.0, 4.0, 8.0])
 
 
 def test_ultra_distance_is_infinite_past_the_top_of_s():
+    # 8 + 4e-9 lies within the validation slack of 8 = max S, so it is
+    # admitted, yet no element of S covers it
     S = explicit_range_set([0.0, 1.0, 4.0, 8.0])
     d = validate(("a", "b"), np.array([[0.0, 8.0], [8.0, 0.0]]), flavor="ultrametric")
-    e = validate(("a", "b"), np.array([[0.0, 9.0], [9.0, 0.0]]), flavor="ultrametric")
-    got = ultra_distance(d, e, S, tol=0.5)  # 9 admitted by the loose tolerance
-    assert got == np.inf
+    top = 8.0 * (1 + spaces.DEFAULT_TOL / 2)
+    e = validate(("a", "b"), np.array([[0.0, top], [top, 0.0]]), flavor="ultrametric")
+    assert ultra_distance(d, e, S) == np.inf
     assert orc.ultra_dist(d.matrix, e.matrix, [0.0, 1.0, 4.0, 8.0]) == np.inf
 
 

@@ -119,6 +119,37 @@ MUTANTS = (
         "    return shortest_path(matrix)\n",
         ("tests/test_symmetries.py::test_bottleneck_commutes_with_squaring_the_entries",),
     ),
+    Mutant(
+        "certificate bound padded by twice the slack",
+        "metriclab/spaces.py",
+        "bound += slack / 2",
+        "bound += 2 * slack",
+        (
+            "tests/test_spaces.py::"
+            "test_triangle_planted_at_the_scan_boundary_matches_the_loop_oracle",
+        ),
+    ),
+    Mutant(
+        "pieces checked at the full slack",
+        "metriclab/build.py",
+        "half = slack / 2",
+        "half = slack",
+        ("tests/test_built_outputs.py::test_a_piece_short_by_the_full_slack_is_rejected",),
+    ),
+    Mutant(
+        "closure pruned by the second-least entry",
+        "metriclab/spaces.py",
+        "least = np.min(m, initial=np.inf, where=~np.eye(n, dtype=bool))",
+        "least = np.partition(np.append(m[np.triu_indices(n, 1)], [np.inf] * 2), 1)[1]",
+        ("tests/test_spaces.py::test_closure_keeps_a_one_ulp_shortcut_through_the_least_entry",),
+    ),
+    Mutant(
+        "draw table seeded one off",
+        MODULI,
+        "generator = np.random.default_rng(seed)",
+        "generator = np.random.default_rng(seed + 1)",
+        ("tests/test_moduli.py::test_doubling_sampled_report_is_pinned",),
+    ),
 )
 
 
@@ -142,11 +173,8 @@ def run(mutant: Mutant) -> dict:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text.replace(mutant.old, mutant.new))
         env = {**os.environ, "PYTHONPATH": copy, "PYTHONDONTWRITEBYTECODE": "1"}
-        # hypothesis reports a failing example through a deprecated
-        # typing helper, and the suite's filterwarnings = error would turn
-        # that warning into a pytest internal error
         argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
-        argv += ["-o", "pythonpath=", "-W", "ignore::DeprecationWarning", *mutant.nodes]
+        argv += ["-o", "pythonpath=", *mutant.nodes]
         done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
     # pytest exits 1 when a test failed; anything else (an error while
     # collecting, say) is reported as it is
