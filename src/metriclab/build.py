@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .cantor import _s_ladder_space, _string_depth, cantor_prefix_metric, geometric_prefix_ultrametric
+from .cantor import _s_ladder_space, _string_depth, cantor_prefix_metric
 from .errors import DegenerateSpace, PieceMismatch, TooFewPoints
 from .moduli import UDReport, ud_modulus, up_report
 from .rangesets import RangeSet, geometric_range_set
@@ -355,21 +355,26 @@ def _relabel(space: FiniteMetricSpace, labels) -> FiniteMetricSpace:
     return FiniteMetricSpace(tuple(labels), space.matrix, flavor=space.flavor)
 
 
-def _pieces_by_size(
-    d: FiniteMetricSpace, partition: ClopenPartition, make
-) -> tuple[list, dict[int, FiniteMetricSpace]]:
-    """Replacement spaces for the pieces, and the distinct ones by size.
-    make(labels) runs once per distinct piece size, on the first piece
-    of that size, and its space is relabelled for every piece of that
-    size."""
+def _replace_pieces(
+    d: FiniteMetricSpace, partition: ClopenPartition, make, S: RangeSet | None = None
+) -> tuple[FiniteMetricSpace, list[FiniteMetricSpace]]:
+    """Replace each piece of d by make(labels) and glue the replacements:
+    by the sum form, or by the max form over S when S is given.  Returns
+    the amalgam and the distinct replacements.  make runs once per
+    distinct piece size, on the first piece of that size, and its space
+    is relabelled for every piece of that size."""
     built: dict[int, FiniteMetricSpace] = {}
-    spaces = []
+    pieces = []
     for piece in partition.pieces:
         labels = [d.labels[i] for i in piece]
         if len(piece) not in built:
             built[len(piece)] = make(labels)
-        spaces.append(_relabel(built[len(piece)], labels))
-    return spaces, built
+        pieces.append(_relabel(built[len(piece)], labels))
+    if S is None:
+        out = amalgamate_metric(d, partition, pieces)
+    else:
+        out = amalgamate_ultrametric(d, partition, pieces, S)
+    return out, list(built.values())
 
 
 def approximate_doubling(
@@ -408,13 +413,6 @@ def approximate_doubling(
     return _max_norm_space(d.labels, embedding.coordinates), embedding
 
 
-def default_metric_piece(labels, target_diameter: float) -> FiniteMetricSpace:
-    """Default replacement piece: geometric sequential ultrametric of
-    diameter exactly `target_diameter` (or a single point)."""
-    piece = geometric_prefix_ultrametric(len(labels), top=target_diameter)
-    return _relabel(piece, labels)
-
-
 def approximate_ud(
     d: FiniteMetricSpace,
     eps: float,
@@ -435,13 +433,9 @@ def approximate_ud(
         raise DegenerateSpace("approximate_ud needs at least 2 points")
     partition = carve_pieces(d, eps)
     rungs_from = geometric_range_set(0.5, eps) if S is None else S
-    pieces, _ = _pieces_by_size(
-        d, partition, lambda labels: _s_ladder_space(labels, eps, rungs_from)
+    out, _ = _replace_pieces(
+        d, partition, lambda labels: _s_ladder_space(labels, eps, rungs_from), S
     )
-    if S is None:
-        out = amalgamate_metric(d, partition, pieces)
-    else:
-        out = amalgamate_ultrametric(d, partition, pieces, S)
     return out, ud_modulus(out)
 
 
@@ -482,7 +476,7 @@ def approximate_up(
         raise TooFewPoints("approximate_up needs at least 2 points")
     partition = merge_singletons(d, carve_pieces(d, eps))
     depth = _string_depth(max(len(piece) for piece in partition.pieces))
-    piece_spaces, built = _pieces_by_size(
+    out, distinct = _replace_pieces(
         d, partition, lambda labels: cantor_prefix_metric(len(labels), scale=eps, depth=depth)
     )
     host_piece_diameter = max(
@@ -490,9 +484,6 @@ def approximate_up(
         for index in map(np.array, partition.pieces)
     )
     eps_effective = max(eps, host_piece_diameter)
-    out = amalgamate_metric(d, partition, piece_spaces)
-
-    distinct = list(built.values())
     r_min = min(piece.separation for piece in distinct)
     piece_cs = [up_report(piece, r_min).c_star for piece in distinct]
     min_piece_diameter = min(piece.diameter for piece in distinct)

@@ -37,7 +37,6 @@ from .build import (
     approximate_ud,
     approximate_up,
     carve_pieces,
-    default_metric_piece,
 )
 from .cantor import (
     _gapped_rungs,
@@ -45,6 +44,7 @@ from .cantor import (
     _point_labels,
     _prefix_labels,
     _ring_matrix,
+    _s_ladder_space,
     _string_depth,
     generate_type,
 )
@@ -445,7 +445,7 @@ def _fat_piece_matrix(count: int, diameter: float, gap: float) -> np.ndarray:
 def _grid_piece(style: str, labels, eps: float) -> FiniteMetricSpace:
     count = len(labels)
     if style == "geo":
-        return default_metric_piece(labels, eps)
+        return _s_ladder_space(labels, eps, geometric_range_set(0.5, eps))
     if style == "ring":
         return validate(
             tuple(labels), _ring_matrix(count, eps / (count // 2)), flavor=METRIC

@@ -522,7 +522,10 @@ def up_constant(space: FiniteMetricSpace, r_min: float) -> UPReport:
 def up_report(space: FiniteMetricSpace, r_min: float) -> UPReport:
     """:func:`up_constant`, except that an empty scale window
     [r_min, diameter) (two-point and uniform spaces) gives c* = 0 with
-    degenerate=True instead of raising."""
+    degenerate=True instead of raising.  A non-finite r_min raises
+    BadScaleCutoff rather than counting as an empty window."""
+    if not math.isfinite(r_min):
+        raise BadScaleCutoff(f"r_min = {r_min!r} must be finite")
     if r_min >= space.diameter:
         return UPReport(0.0, r_min, (0, r_min), degenerate=True)
     return up_constant(space, r_min)

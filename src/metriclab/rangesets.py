@@ -65,10 +65,6 @@ class RangeSet:
             raise ValueError(f"unknown range-set kind {self.kind!r}")
 
 
-def explicit_range_set(values) -> RangeSet:
-    return RangeSet(EXPLICIT, values=tuple(sorted(set(float(v) for v in values))))
-
-
 def geometric_range_set(ratio: float, scale: float = 1.0) -> RangeSet:
     return RangeSet(GEOMETRIC, ratio=float(ratio), scale=float(scale))
 
@@ -318,14 +314,6 @@ def up_obstruction(S: RangeSet, c: float, n_max: int) -> int | None:
         if hi < above < math.inf:
             return n
     return None
-
-
-def rangeset_to_json(S: RangeSet) -> dict:
-    if S.kind == EXPLICIT:
-        return {"kind": EXPLICIT, "values": list(S.values)}
-    if S.kind == GEOMETRIC:
-        return {"kind": GEOMETRIC, "ratio": S.ratio, "scale": S.scale}
-    return {"kind": DOUBLE_EXPONENTIAL, "base": S.base}
 
 
 def rangeset_from_json(obj: dict) -> RangeSet:

@@ -13,6 +13,7 @@ import oracles as orc
 from metriclab import (
     ClopenPartition,
     ExperimentConfig,
+    RangeSet,
     ShrinkingSequence,
     amalgamate_metric,
     amalgamate_ultrametric,
@@ -22,10 +23,8 @@ from metriclab import (
     bottleneck_matrix,
     cantor_prefix_metric,
     carve_pieces,
-    default_metric_piece,
     diagnose,
     double_exponential_range_set,
-    explicit_range_set,
     exponential_sequence,
     generate_type,
     geometric_prefix_ultrametric,
@@ -43,6 +42,7 @@ from metriclab import (
     up_obstruction,
     validate,
 )
+from metriclab.build import _relabel
 from metriclab.cantor import _valuation_matrix
 
 TRIALS = 100
@@ -70,7 +70,10 @@ def _metric_amalgams(mode: str, n: int, seed: int) -> list[tuple[int, float]]:
         eps = host.diameter / 8.0
         partition = carve_pieces(host, eps)
         pieces = [
-            default_metric_piece(tuple(host.labels[i] for i in piece), eps)
+            _relabel(
+                geometric_prefix_ultrametric(len(piece), top=eps),
+                [host.labels[i] for i in piece],
+            )
             for piece in partition.pieces
         ]
         assert all(piece.diameter <= eps for piece in pieces)
@@ -199,7 +202,7 @@ def test_criterion_4_oracle_equivalences():
         assert abs(lib - ref) <= UP_ORACLE_TOL
 
     s_values = (0.0, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0)
-    S = explicit_range_set(s_values)
+    S = RangeSet("explicit", values=s_values)
     labels = tuple(format(k, "03b") for k in range(8))
     positives = np.array(s_values[1:])
 
@@ -333,7 +336,10 @@ def _representative_outputs():
     host = validate(labels, np.abs(positions[:, None] - positions[None, :]))
     partition = carve_pieces(host, 1.0)
     pieces = [
-        default_metric_piece(tuple(host.labels[i] for i in piece), 1.0)
+        _relabel(
+            geometric_prefix_ultrametric(len(piece), top=1.0),
+            [host.labels[i] for i in piece],
+        )
         for piece in partition.pieces
     ]
     outputs.append(amalgamate_metric(host, partition, pieces))

@@ -19,8 +19,8 @@ from metriclab import (
     amalgamate_ultrametric,
     carve_pieces,
     contains,
-    default_metric_piece,
     diagnose,
+    geometric_prefix_ultrametric,
     geometric_range_set,
     greedy_net,
     merge_singletons,
@@ -34,8 +34,9 @@ from metriclab import (
     up_constant,
     validate,
 )
-from metriclab.cantor import cantor_prefix_metric
-from metriclab.lab import grid_host, random_s_ultrametric
+from metriclab.build import _relabel
+from metriclab.cantor import _s_ladder_space, cantor_prefix_metric
+from metriclab.lab import _grid_piece, grid_host, random_s_ultrametric
 
 
 def _labels(n):
@@ -164,7 +165,10 @@ def test_amalgamate_metric_is_exactly_symmetric_on_random_hosts():
         eps = host.diameter / 8
         partition = carve_pieces(host, eps)
         pieces = [
-            default_metric_piece(tuple(host.labels[i] for i in piece), eps)
+            _relabel(
+                geometric_prefix_ultrametric(len(piece), top=eps),
+                [host.labels[i] for i in piece],
+            )
             for piece in partition.pieces
         ]
         out = amalgamate_metric(host, partition, pieces)
@@ -444,8 +448,7 @@ def test_approximate_ud_metric_path():
         # carved pieces carry the default replacement piece bit-exactly
         partition = carve_pieces(host, eps)
         for piece in partition.pieces:
-            labels = tuple(host.labels[i] for i in piece)
-            rebuilt = default_metric_piece(labels, eps)
+            rebuilt = geometric_prefix_ultrametric(len(piece), top=eps)
             assert np.array_equal(out.matrix[np.ix_(piece, piece)], rebuilt.matrix)
 
 
@@ -507,9 +510,17 @@ def test_approximate_up_guards():
 
 
 def test_default_metric_piece():
-    piece = default_metric_piece(("a", "b", "c"), 0.75)
-    assert piece.labels == ("a", "b", "c")
-    assert piece.diameter == 0.75
-    assert piece.flavor == "ultrametric"
-    lone = default_metric_piece(("a",), 0.75)
-    assert lone.n == 1 and lone.matrix[0, 0] == 0.0
+    # the UD pipeline's default piece, and the lab's "geo" piece, is the
+    # relabelled geometric prefix ultrametric, bit for bit
+    for count in (1, 2, 3, 5, 8, 9, 33):
+        labels = tuple(f"x{k}" for k in range(count))
+        for eps in (0.75, 1e-300, 3e300):
+            prefix = geometric_prefix_ultrametric(count, top=eps)
+            for piece in (
+                _s_ladder_space(labels, eps, geometric_range_set(0.5, eps)),
+                _grid_piece("geo", labels, eps),
+            ):
+                assert piece.labels == labels
+                assert piece.flavor == prefix.flavor == "ultrametric"
+                assert piece.matrix.tobytes() == prefix.matrix.tobytes()
+                assert piece.diameter == (eps if count > 1 else 0.0)

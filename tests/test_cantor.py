@@ -11,20 +11,21 @@ from metriclab import (
     BinaryPointSet,
     GenerationFailed,
     MetricLabError,
+    RangeSet,
     SequenceTooShort,
     ShrinkingSequence,
+    approximate_ud,
     cantor,
     cantor_prefix_metric,
-    default_metric_piece,
     diagnose,
     double_exponential_range_set,
-    explicit_range_set,
     generate_type,
     geometric_prefix_ultrametric,
     geometric_range_set,
     lab,
     sequential_metric,
 )
+from metriclab.build import _relabel
 from metriclab.cantor import MAX_DEPTH, _valuation_matrix, cantor_numerators
 
 
@@ -174,13 +175,14 @@ def test_geometric_prefix_ultrametric():
 
 @pytest.mark.parametrize("top", [math.inf, -math.inf, math.nan])
 def test_geometric_prefix_ultrametric_rejects_a_non_finite_top(top):
-    # one error for every count, and for the default piece built on it
+    # one error for every count, and the UD pipeline, which builds its
+    # pieces at top = eps, refuses the same eps
     for count in (1, 2, 3):
         with pytest.raises(ValueError, match="top must be positive and finite"):
             geometric_prefix_ultrametric(count, top=top)
-    for labels in (("a",), ("a", "b"), ("a", "b", "c")):
-        with pytest.raises(ValueError, match="top must be positive and finite"):
-            default_metric_piece(labels, top)
+    host = geometric_prefix_ultrametric(3, top=1.0)
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        approximate_ud(host, top)
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +215,15 @@ def _geometric_ladder(count, top, ratio):
     return cantor._ladder_space(rungs, cantor._prefix_labels(count, depth))
 
 
+def _relabelled_prefix(labels, top):
+    """geometric_prefix_ultrametric on `labels`: the UD default piece."""
+    return _relabel(geometric_prefix_ultrametric(len(labels), top), labels)
+
+
 def _binary_string_outputs():
     range_sets = (
         geometric_range_set(0.5),
-        explicit_range_set([0.0, 0.01, 0.02, 0.1, 0.5, 1.0]),
+        RangeSet("explicit", values=(0.0, 0.01, 0.02, 0.1, 0.5, 1.0)),
         double_exponential_range_set(0.5),
     )
     for count in PREFIX_COUNTS:
@@ -225,7 +232,7 @@ def _binary_string_outputs():
         yield cantor_prefix_metric, (count, 2.5, 9)
         yield geometric_prefix_ultrametric, (count, 1.0)
         yield _geometric_ladder, (count, 0.125, 0.3)
-        yield default_metric_piece, (labels, 0.7)
+        yield _relabelled_prefix, (labels, 0.7)
         for S in range_sets:
             yield cantor._s_ladder_space, (labels, 0.3, S)
     for depth in range(-1, 9):

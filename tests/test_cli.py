@@ -131,6 +131,24 @@ def test_moduli_honors_rmin_and_beta(tmp_path, capsys):
     assert payload["thresholds"]["beta0"] == 3.0
 
 
+def test_moduli_rejects_an_infinite_rmin(tmp_path, capsys):
+    # --rmin inf used to exit 0 with "radius": Infinity, which is not JSON
+    path = _write(tmp_path, "space.json", _line_space_json([0.0, 1.0, 2.0, 3.0], "abcd"))
+    assert main(["moduli", path, "--rmin", "inf"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: BadScaleCutoff")
+    # a finite r_min past the diameter is still the empty window
+    assert main(["moduli", path, "--rmin", "1e308"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert payload["reports"]["up"]["degenerate"] is True
+    assert payload["reports"]["up"]["r_min"] == 1e308
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_moduli_reads_thresholds_file(tmp_path, capsys):
     path = _write(tmp_path, "space.json", _line_space_json([0.0, 1.0, 2.0, 3.0], "abcd"))
     thresholds = _write(

@@ -13,10 +13,10 @@ import oracles as orc
 from metriclab import (
     DegenerateSpace,
     ExperimentConfig,
+    RangeSet,
     Thresholds,
     TrialRecord,
     diagnose,
-    explicit_range_set,
     geometric_range_set,
     matrix_digest,
     random_s_ultrametric,
@@ -243,7 +243,7 @@ def test_random_s_ultrametric_values_live_in_s():
     for v in np.unique(space.matrix):
         assert v == 0.0 or contains(S, float(v))
     with pytest.raises(ValueError):
-        random_s_ultrametric(16, explicit_range_set([0.0, 1.0]), rng)
+        random_s_ultrametric(16, RangeSet("explicit", values=(0.0, 1.0)), rng)
     with pytest.raises(ValueError):
         random_s_ultrametric(1, S, rng)
 

@@ -661,6 +661,14 @@ def test_up_report_is_degenerate_on_an_empty_scale_window():
         assert not up_report(space, r_min).degenerate
 
 
+@pytest.mark.parametrize("r_min", [np.inf, -np.inf, np.nan])
+def test_up_report_rejects_a_non_finite_r_min(r_min):
+    # r_min = inf used to count as an empty window: c* = 0 with radius inf
+    space = random_space("points_linf", 16, trial_rng(41, 0))
+    with pytest.raises(BadScaleCutoff, match="must be finite"):
+        up_report(space, r_min)
+
+
 def test_classify_uniform_space_is_degenerate_in_the_scale_window():
     tv = classify(_uniform_space(6))
     assert tv.u3 == 0

@@ -13,14 +13,12 @@ from metriclab import (
     contains,
     double_exponential_range_set,
     exponential_sequence,
-    explicit_range_set,
     geometric_range_set,
     greatest_leq,
     is_exponential_window,
     ladder,
     least_geq,
     rangeset_from_json,
-    rangeset_to_json,
     realized_envelope,
     sequence_from_json,
     sequence_to_json,
@@ -50,7 +48,7 @@ def test_rangeset_construction_guards():
 
 
 def test_helper_constructors():
-    S = explicit_range_set([2.0, 0.0, 1.0, 2.0])
+    S = RangeSet("explicit", values=[0, 1, 2.0])
     assert S.values == (0.0, 1.0, 2.0)
     G = geometric_range_set(0.5, scale=3.0)
     assert (G.ratio, G.scale) == (0.5, 3.0)
@@ -63,7 +61,7 @@ def test_helper_constructors():
 
 
 def test_explicit_neighbors():
-    S = explicit_range_set([0.0, 0.1, 0.2, 0.4, 0.8])
+    S = RangeSet("explicit", values=(0.0, 0.1, 0.2, 0.4, 0.8))
     assert least_geq(S, 0.2) == 0.2
     assert least_geq(S, 0.25) == 0.4
     assert least_geq(S, 0.9) == math.inf
@@ -152,7 +150,7 @@ _EXPLICIT_SETS = [
 
 @pytest.mark.parametrize("values", _EXPLICIT_SETS)
 def test_explicit_queries_match_enumeration(values):
-    S = explicit_range_set(values)
+    S = RangeSet("explicit", values=values)
     members = list(values)
     positive = members[:0:-1]  # decreasing, as a ladder reads them
     xs = [0.0, 5e-324, math.inf, 2 * members[-1]]
@@ -306,7 +304,7 @@ def test_geometric_ladder_is_exact():
 
 
 def test_explicit_ladder_and_exhaustion():
-    S = explicit_range_set([0.0, 0.1, 0.2, 0.4, 0.8])
+    S = RangeSet("explicit", values=(0.0, 0.1, 0.2, 0.4, 0.8))
     assert ladder(S, 0.5, 3) == (0.4, 0.2, 0.1)
     with pytest.raises(ValueError):
         ladder(S, 0.5, 4)
@@ -397,14 +395,18 @@ def test_obstruction_guards():
 # JSON forms
 
 
-def test_rangeset_json_round_trips():
-    for S in (
-        explicit_range_set([0.0, 0.25, 1.0]),
-        geometric_range_set(0.3, scale=2.0),
-        double_exponential_range_set(0.5),
-    ):
-        back = rangeset_from_json(rangeset_to_json(S))
-        assert back == S
+def test_rangeset_json_parses_the_three_kinds():
+    cases = (
+        (
+            {"kind": "explicit", "values": [0.0, 0.25, 1.0]},
+            RangeSet("explicit", values=(0.0, 0.25, 1.0)),
+        ),
+        ({"kind": "geometric", "ratio": 0.3, "scale": 2.0}, geometric_range_set(0.3, scale=2.0)),
+        ({"kind": "geometric", "ratio": 0.3}, geometric_range_set(0.3)),
+        ({"kind": "double_exponential", "base": 0.5}, double_exponential_range_set(0.5)),
+    )
+    for obj, expected in cases:
+        assert rangeset_from_json(obj) == expected
 
 
 def test_rangeset_json_guards():

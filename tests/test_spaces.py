@@ -14,6 +14,7 @@ from metriclab import (
     NonpositiveOffDiagonal,
     NonzeroDiagonal,
     NotUltrametric,
+    RangeSet,
     SeparationUndefined,
     StrongTriangleViolation,
     TriangleViolation,
@@ -21,7 +22,6 @@ from metriclab import (
     ZeroOffDiagonal,
     bottleneck_matrix,
     diagnose,
-    explicit_range_set,
     geometric_range_set,
     metric_closure,
     random_space,
@@ -443,7 +443,7 @@ def test_ultra_distance_frozen_pair_2_3_rounds_up_to_4():
     # them; the definitional scan rounds M = 3 up to the least S element
     # 4 (eps = 1 fails the pairwise envelope inequalities, eps = 4
     # satisfies them).
-    S = explicit_range_set([0.0, 1.0, 4.0, 8.0])
+    S = RangeSet("explicit", values=(0.0, 1.0, 4.0, 8.0))
     d = validate(("a", "b"), np.array([[0.0, 2.0], [2.0, 0.0]]), flavor="ultrametric")
     e = validate(("a", "b"), np.array([[0.0, 3.0], [3.0, 0.0]]), flavor="ultrametric")
     with pytest.raises(ValueOutsideRangeSet):
@@ -455,7 +455,7 @@ def test_ultra_distance_frozen_pair_2_3_rounds_up_to_4():
 def test_ultra_distance_is_infinite_past_the_top_of_s():
     # 8 + 4e-9 lies within the validation slack of 8 = max S, so it is
     # admitted, yet no element of S covers it
-    S = explicit_range_set([0.0, 1.0, 4.0, 8.0])
+    S = RangeSet("explicit", values=(0.0, 1.0, 4.0, 8.0))
     d = validate(("a", "b"), np.array([[0.0, 8.0], [8.0, 0.0]]), flavor="ultrametric")
     top = 8.0 * (1 + spaces.DEFAULT_TOL / 2)
     e = validate(("a", "b"), np.array([[0.0, top], [top, 0.0]]), flavor="ultrametric")
@@ -475,7 +475,7 @@ def _random_explicit_ultrametric(values, depth, rng):
 
 def test_ultra_distance_closed_form_equals_brute_scan():
     values = [0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0]
-    S = explicit_range_set(values)
+    S = RangeSet("explicit", values=values)
     rng = trial_rng(15, 0)
     for _ in range(40):
         d = _random_explicit_ultrametric(values, 3, rng)
@@ -485,7 +485,7 @@ def test_ultra_distance_closed_form_equals_brute_scan():
 
 def test_ultra_distance_strong_triangle_on_random_triples():
     values = [0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0]
-    S = explicit_range_set(values)
+    S = RangeSet("explicit", values=values)
     rng = trial_rng(16, 0)
     for _ in range(25):
         d = _random_explicit_ultrametric(values, 3, rng)
@@ -498,7 +498,7 @@ def test_ultra_distance_strong_triangle_on_random_triples():
 
 
 def test_ultra_distance_requires_ultrametric_flavor():
-    S = explicit_range_set([0.0, 1.0])
+    S = RangeSet("explicit", values=(0.0, 1.0))
     d = validate(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]))
     e = validate(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]), flavor="ultrametric")
     with pytest.raises(NotUltrametric):
@@ -506,7 +506,7 @@ def test_ultra_distance_requires_ultrametric_flavor():
 
 
 def test_ultra_distance_rejects_off_s_values():
-    S = explicit_range_set([0.0, 1.0])
+    S = RangeSet("explicit", values=(0.0, 1.0))
     d = validate(("a", "b"), np.array([[0.0, 0.7], [0.7, 0.0]]), flavor="ultrametric")
     e = validate(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]), flavor="ultrametric")
     with pytest.raises(ValueOutsideRangeSet):

@@ -144,6 +144,31 @@ MUTANTS = (
         ("tests/test_spaces.py::test_closure_keeps_a_one_ulp_shortcut_through_the_least_entry",),
     ),
     Mutant(
+        "S-valued pieces glued by the sum form",
+        "metriclab/build.py",
+        "out = amalgamate_ultrametric(d, partition, pieces, S)",
+        "out = amalgamate_metric(d, partition, pieces)",
+        ("tests/test_build.py::test_approximate_ud_rangeset_path",),
+    ),
+    Mutant(
+        "every piece keeps the labels of the first piece of its size",
+        "metriclab/build.py",
+        "pieces.append(_relabel(built[len(piece)], labels))",
+        "pieces.append(built[len(piece)])",
+        ("tests/test_build.py::test_approximate_up_even_pieces_meet_the_bound",),
+    ),
+    Mutant(
+        "no guard on a non-finite r_min",
+        MODULI,
+        "    if not math.isfinite(r_min):\n"
+        '        raise BadScaleCutoff(f"r_min = {r_min!r} must be finite")\n',
+        "",
+        (
+            "tests/test_moduli.py::test_up_report_rejects_a_non_finite_r_min",
+            "tests/test_cli.py::test_moduli_rejects_an_infinite_rmin",
+        ),
+    ),
+    Mutant(
         "draw table seeded one off",
         MODULI,
         "generator = np.random.default_rng(seed)",
