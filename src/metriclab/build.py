@@ -28,6 +28,8 @@ from .rangesets import RangeSet, geometric_range_set
 from .spaces import (
     ULTRAMETRIC,
     FiniteMetricSpace,
+    _exact_ultrametric,
+    _mark_exact,
     _require_s_valued,
     _triangle_holds,
     _validate_built,
@@ -220,8 +222,11 @@ def _sum_form_certified(D: np.ndarray, partition, pieces_metrics, slack: float) 
     triangle scan of the sum-form amalgam D at `slack` flags no triple.
 
     Checks, at h = slack / 2: each distinct piece matrix (deduplicated
-    by shape and bytes), and the k x k block of D on the basepoints, by
-    :func:`metriclab.spaces._triangle_holds`.  D's entry checks have
+    by shape and bytes) but those with the exactness mark, and the k x k
+    block of D on the basepoints, by
+    :func:`metriclab.spaces._triangle_holds`.  A marked piece passes its
+    check at every h >= 0 (d <= max(a, b) <= fl(a + b) for a, b >= 0), so
+    it is skipped.  D's entry checks have
     passed, and they cover both, since piece blocks are copied into D
     bit-exactly and D(p, q) = fl(fl(0 + 0) + d(p, q)) = d(p, q) for
     basepoints p != q.  Cost O(k^3 + sum of distinct |P|^3), against
@@ -262,7 +267,9 @@ def _sum_form_certified(D: np.ndarray, partition, pieces_metrics, slack: float) 
     basepoints = np.array(partition.basepoints)
     if not _triangle_holds(D[basepoints[:, None], basepoints], half):
         return False
-    distinct = {(p.matrix.shape, p.matrix.tobytes()): p.matrix for p in pieces_metrics}
+    distinct = {
+        (p.matrix.shape, p.matrix.tobytes()): p.matrix for p in pieces_metrics if not p._exact
+    }
     return all(_triangle_holds(matrix, half) for matrix in distinct.values())
 
 
@@ -277,6 +284,22 @@ def amalgamate_ultrametric(
     The host and every piece must be S-valued ultrametrics by
     :func:`metriclab.spaces._require_s_valued`; the output takes maxima
     of existing values only, so it stays S-valued.
+
+    When the host and every piece carry the exactness mark, the output is
+    an exact ultrametric, built by :func:`metriclab.spaces._exact_ultrametric`
+    (entry checks only); otherwise :func:`metriclab.spaces.validate`
+    decides.  Proof, for x, y, z with arms a_x = D(x, p) to the basepoint
+    p of x's piece; across pieces D(x, y) = max(a_x, d(p, q), a_y), and
+    max is exact.
+    * x, y in piece P, z not: D(x, y) <= max(a_x, a_y) by P through p,
+      and D(x, z) >= a_x, D(z, y) >= a_y.
+    * x, z in P, y in Q (y, z in Q is the mirror case): a_x <=
+      max(D(x, z), a_z) by P, while D(z, y) = max(a_z, d(p, q), a_y)
+      bounds a_z, d(p, q) and a_y.
+    * x, y, z in pieces P, Q, R with basepoints p, q, r: d(p, q) <=
+      max(d(p, r), d(r, q)) by the host, and D(x, z) bounds a_x and
+      d(p, r), D(z, y) bounds a_y and d(r, q).
+    Three points of one piece are that piece's case.
     """
     _check_pieces(d, partition, pieces_metrics)
     named = [("the host", d)] + [(f"piece {k}", m) for k, m in enumerate(pieces_metrics)]
@@ -284,6 +307,8 @@ def amalgamate_ultrametric(
     matrix = _assemble(
         d, partition, pieces_metrics, lambda a, m, b: np.maximum(np.maximum(a, m), b)
     )
+    if d._exact and all(piece._exact for piece in pieces_metrics):
+        return _exact_ultrametric(d.labels, matrix)
     return validate(d.labels, matrix, flavor=ULTRAMETRIC)
 
 
@@ -352,7 +377,9 @@ def merge_singletons(
 
 
 def _relabel(space: FiniteMetricSpace, labels) -> FiniteMetricSpace:
-    return FiniteMetricSpace(tuple(labels), space.matrix, flavor=space.flavor)
+    """The same matrix under new labels, with the exactness mark kept."""
+    out = FiniteMetricSpace(tuple(labels), space.matrix, flavor=space.flavor)
+    return _mark_exact(out) if space._exact else out
 
 
 def _replace_pieces(

@@ -24,7 +24,14 @@ import numpy as np
 from .errors import GenerationFailed, SequenceTooShort, ValueOutsideRangeSet
 from .moduli import Thresholds, classify
 from .rangesets import RangeSet, ShrinkingSequence, geometric_range_set, greatest_leq, ladder
-from .spaces import METRIC, ULTRAMETRIC, FiniteMetricSpace, validate
+from .spaces import (
+    METRIC,
+    ULTRAMETRIC,
+    FiniteMetricSpace,
+    _exact_ultrametric,
+    _validate_built,
+    validate,
+)
 
 # 2**depth points give a depth**2 * 4**depth footprint; 12 keeps the
 # full distance matrix comfortably in memory.
@@ -89,8 +96,23 @@ def _prefix_labels(count: int, depth: int) -> tuple[str, ...]:
 
 def _ladder_space(rungs, labels) -> FiniteMetricSpace:
     """Validated ultrametric d(x, y) = rungs[v(x, y)] on the
-    first len(labels) strings of depth len(rungs), named by `labels`."""
-    return validate(labels, _rung_matrix(rungs, len(labels)), flavor=ULTRAMETRIC)
+    first len(labels) strings of depth len(rungs), named by `labels`:
+    the space, or the error, of validate(..., flavor=ULTRAMETRIC).
+
+    When the rungs are finite, > 0 and strictly decreasing (checked in
+    O(depth)), the matrix is an exact ultrametric and
+    :func:`metriclab.spaces._exact_ultrametric` builds and marks it after
+    the entry checks: a common prefix of x, y and of y, z is one of x, z,
+    so v(x, z) >= min(v(x, y), v(y, z)), hence d(x, z) <= max(d(x, y),
+    d(y, z)), and every entry is a table lookup, so this holds bit for
+    bit (v = depth, the 0 entry, on equal strings).  Other rungs go to
+    :func:`metriclab.spaces.validate`.
+    """
+    table = np.asarray(rungs, dtype=float)
+    matrix = _rung_matrix(table, len(labels))
+    if np.isfinite(table).all() and (table > 0).all() and (table[:-1] > table[1:]).all():
+        return _exact_ultrametric(labels, matrix)
+    return validate(labels, matrix, flavor=ULTRAMETRIC)
 
 
 def _s_ladder_space(labels, top: float, S: RangeSet) -> FiniteMetricSpace:
@@ -101,7 +123,7 @@ def _s_ladder_space(labels, top: float, S: RangeSet) -> FiniteMetricSpace:
     element <= top."""
     count = len(labels)
     if count == 1:
-        return FiniteMetricSpace(tuple(labels), np.zeros((1, 1)), flavor=ULTRAMETRIC)
+        return _exact_ultrametric(labels, np.zeros((1, 1)))
     first = greatest_leq(S, top)
     if first == 0.0:
         raise ValueOutsideRangeSet(f"no positive element of S lies below {top!r}")
@@ -143,6 +165,20 @@ def cantor_prefix_metric(count: int, scale: float = 1.0, depth: int | None = Non
     larger depth may be passed so that several prefixes share one scale
     ladder (their smallest positive distance is then the common
     2*scale/3**depth sibling gap, bit-identical across prefixes).
+
+    Validated by construction (:func:`metriclab.spaces._validate_built`;
+    only the O(n^2) entry checks run).  Proof, as for
+    :func:`metriclab.build._max_norm_space`, with s the slack, M the max
+    entry and u = 2**-53: the gaps g are exact integers below 3**12, so
+    g(x, z) <= g(x, y) + g(y, z) exactly, and every entry is fl(c g) for
+    the one rounded constant c = fl(scale / 3**depth).  With
+    T = g(x, y) + g(y, z), D(x, z) <= c T (1 + u) while the scan's bound
+    fl(fl(D(x, y) + D(y, z)) + s) is >= c T (1 - u)**3 + s (1 - u), and
+    c T <= 2M / (1 - u); flagging needs 8.01uM > s (1 - u).  A product in
+    the subnormal range is off by at most 2**-1075 <= us / 2 instead,
+    which moves this by under 2us.  Both are impossible once s >= 8.1uM.
+    An overflow or an underflow to 0 fails the entry checks, and
+    :func:`metriclab.spaces.validate` raises their error.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -155,7 +191,7 @@ def cantor_prefix_metric(count: int, scale: float = 1.0, depth: int | None = Non
     labels = _prefix_labels(count, depth)
     numerators = cantor_numerators(depth)[:count]
     gaps = np.abs(numerators[:, None] - numerators[None, :]).astype(float)
-    return validate(labels, (scale / 3.0**depth) * gaps, flavor=METRIC)
+    return _validate_built(labels, (scale / 3.0**depth) * gaps)
 
 
 def geometric_prefix_ultrametric(count: int, top: float) -> FiniteMetricSpace:

@@ -1,17 +1,19 @@
 """The package's one JSON writer.
 
 `dumps` returns exactly the text of
-``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``.  `obj` may also
-hold 2-D float64 ndarrays with at least one entry, each written as its
-``.tolist()`` would be; any other ndarray raises `TypeError`, as
-`json.dumps` does.  The module exists because ``indent`` sends `json` down
-its pure-Python encoder, which formats every float of an output matrix on
-its own, while an ultrametric on n points has at most n - 1 distinct
-nonzero distances.  So a float matrix, which every caller hands over as
-such an ndarray, is written by formatting each distinct value once, with
-one call to the C encoder, and joining its rows from those strings;
-everything else (lists of float lists too) is written the way the
-indenting encoder writes it.
+``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\\n"``,
+and raises `ValueError` where that call does: JSON has no NaN or
+Infinity, so no output can hold one.  `obj` may also hold 2-D float64
+ndarrays with at least one entry, each written as its ``.tolist()``
+would be (a non-finite distinct value raises `ValueError` too); any
+other ndarray raises `TypeError`, as `json.dumps` does.  The module
+exists because ``indent`` sends `json` down its pure-Python encoder,
+which formats every float of an output matrix on its own, while an
+ultrametric on n points has at most n - 1 distinct nonzero distances.
+So a float matrix, which every caller hands over as such an ndarray, is
+written by formatting each distinct value once, with one call to the C
+encoder, and joining its rows from those strings; everything else (lists
+of float lists too) is written the way the indenting encoder writes it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ def _write(obj, level: int, out: list[str]) -> None:
     if isinstance(obj, dict):
         # A non-string key is written as its scalar text, quoted.
         items = [
-            (json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ", value)
+            (json.dumps(key if isinstance(key, str) else _strict(key)) + ": ", value)
             for key, value in sorted(obj.items())
         ]
         brackets = "{}"
@@ -48,7 +50,7 @@ def _write(obj, level: int, out: list[str]) -> None:
         items = [("", value) for value in obj]
         brackets = "[]"
     else:
-        out.append(json.dumps(obj))
+        out.append(_strict(obj))
         return
     if not items:
         out.append(brackets)
@@ -61,11 +63,17 @@ def _write(obj, level: int, out: list[str]) -> None:
     out.append("\n" + _INDENT * level + brackets[1])
 
 
+def _strict(value) -> str:
+    """The C encoder's text of a scalar or a flat list; a non-finite
+    float raises ValueError."""
+    return json.dumps(value, allow_nan=False)
+
+
 def _write_float_matrix(matrix: np.ndarray, level: int, out: list[str]) -> None:
-    # Unique over the bit patterns keeps -0.0 / 0.0 and NaN payloads apart;
-    # the C encoder writes the same float.__repr__ / NaN / Infinity text.
+    # Unique over the bit patterns keeps -0.0 / 0.0 apart; the C encoder
+    # writes the same float.__repr__ text, and raises on a non-finite value.
     distinct, inverse = np.unique(matrix.view(np.int64), return_inverse=True)
-    text = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
+    text = _strict(distinct.view(np.float64).tolist())[1:-1].split(", ")
     rows = np.array(text, dtype=object)[inverse.reshape(matrix.shape)].tolist()
     row_inner = "\n" + _INDENT * (level + 1)
     value_sep = ",\n" + _INDENT * (level + 2)

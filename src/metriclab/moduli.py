@@ -457,8 +457,13 @@ def bottleneck_matrix(space: FiniteMetricSpace) -> np.ndarray:
     maximum step d(z_i, z_{i+1}): the subdominant ultrametric, computed
     exactly as the single-linkage cophenetic matrix (the minimax-path
     property of minimum spanning trees); the values are original matrix
-    entries, no arithmetic is performed on them.
+    entries, no arithmetic is performed on them.  A space with the
+    exactness mark (:func:`metriclab.spaces._exact_ultrametric`) is its
+    own subdominant ultrametric, bit for bit, so its matrix is copied
+    instead.  The result is a fresh writable array either way.
     """
+    if space._exact:
+        return space.matrix.copy()
     return _subdominant_ultrametric(space.matrix)
 
 

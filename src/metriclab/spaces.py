@@ -58,6 +58,11 @@ class FiniteMetricSpace:
     matrix: np.ndarray
     flavor: str = METRIC
 
+    # The private exactness mark (a class attribute, not a field): set by
+    # _mark_exact on spaces whose construction proves the matrix an exact
+    # ultrametric (see _exact_ultrametric).
+    _exact = False
+
     def __post_init__(self):
         labels = tuple(str(label) for label in self.labels)
         matrix = np.array(self.matrix, dtype=float, copy=True)
@@ -207,10 +212,12 @@ def _validate_built(labels, m: np.ndarray, certificate=None) -> FiniteMetricSpac
 
     Guard.  With M the max entry and s = DEFAULT_TOL * M the slack of
     :func:`validate`, it asks s / 2 to be a normal float (so h = s / 2 is
-    exact) and s >= 32 * eps * M = 64uM, u = 2**-53.  The two proofs in
-    :mod:`metriclab.build` need 32.1uM (sum-form amalgam) and 8.1uM
-    (max-norm matrix).  At the default tolerance this holds unless s is
-    subnormal (M below about 4.5e-299), when the scan runs.
+    exact) and s >= 32 * eps * M = 64uM, u = 2**-53.  The proofs need
+    32.1uM (the sum-form amalgam in :mod:`metriclab.build`), 8.1uM (the
+    max-norm matrix there and :func:`metriclab.cantor.cantor_prefix_metric`)
+    and 4.01(n + 1)uM (:func:`metric_closure`, whose certificate checks
+    it).  At the default tolerance the guard holds unless s is subnormal
+    (M below about 4.5e-299), when the scan runs.
     """
     if _entry_violation(labels, m) is None:
         top = float(m.max())
@@ -222,6 +229,37 @@ def _validate_built(labels, m: np.ndarray, certificate=None) -> FiniteMetricSpac
         ):
             return FiniteMetricSpace(tuple(labels), m, METRIC)
     return validate(labels, m, flavor=METRIC)
+
+
+def _mark_exact(space: FiniteMetricSpace) -> FiniteMetricSpace:
+    """Set the exactness mark of `space` (see :func:`_exact_ultrametric`)."""
+    object.__setattr__(space, "_exact", True)
+    return space
+
+
+def _exact_ultrametric(labels, m: np.ndarray) -> FiniteMetricSpace:
+    """validate(labels, m, flavor=ULTRAMETRIC) for a matrix whose
+    construction proves the strong triangle inequality bit for bit, with
+    the exactness mark set.
+
+    The entry checks run; when one fails, :func:`validate` raises its
+    error.  Otherwise validate would pass and return this space: a
+    matrix with zero diagonal and positive off-diagonal entries that
+    meets d(x, z) <= max(d(x, y), d(y, z)) exactly equals its
+    :func:`_subdominant_ultrametric`, the certificate :func:`diagnose`
+    tries first (every chain from x to z has a step >= d(x, z), by
+    induction on its length, and the one-step chain attains it).  So the
+    mark lets a reader use the matrix as its own subdominant
+    (:func:`metriclab.moduli.bottleneck_matrix`) and as an exact
+    ultrametric (the max-form amalgam and the sum-form certificate in
+    :mod:`metriclab.build`).  Callers pass only matrices they computed
+    themselves, with +0.0 on the diagonal as the subdominant has, never
+    one handed in from outside; a relabelled space keeps the mark
+    (:func:`metriclab.build._relabel`), and nothing else sets it.
+    """
+    if _entry_violation(labels, m) is not None:
+        return validate(labels, m, flavor=ULTRAMETRIC)
+    return _mark_exact(FiniteMetricSpace(tuple(labels), m, ULTRAMETRIC))
 
 
 def _entry_violation(labels, m: np.ndarray):
@@ -400,6 +438,9 @@ def metric_closure(labels, raw) -> FiniteMetricSpace:
     data than the gather and scatter; the skipped rows then take the
     identity update.  Row k and column k do not change during step k,
     so the values are those of the full update.
+
+    The output goes through :func:`_validate_built` with the rounding
+    certificate :func:`_closure_certified` in place of the cubic check.
     """
     m = np.array(raw, dtype=float)
     error = _entry_violation(labels, m)
@@ -428,7 +469,47 @@ def metric_closure(labels, raw) -> FiniteMetricSpace:
                 np.minimum(rows, row_k.take(live)[:, None] + row_k, out=rows)
                 m[live] = rows
                 bound[live] = rows.max(axis=1)
-    return validate(labels, m, flavor=METRIC)
+    return _validate_built(labels, m, lambda slack: _closure_certified(n, float(m.max()), slack))
+
+
+def _closure_certified(n: int, top: float, slack: float) -> bool:
+    """True when rounding alone proves that the triangle scan at `slack`
+    flags no triple of :func:`metric_closure`'s output on n points with
+    largest entry `top`: when slack >= 4.01 (n + 1) u top, u = 2**-53.
+    The caller passes normal floats with slack <= 1e-3 * top, as
+    :func:`_validate_built` does (slack = DEFAULT_TOL * top).
+
+    Proof.  Write W for the raw matrix, SP for its exact shortest-path
+    distances, SP_k for those over paths with inner points in
+    {0, ..., k}, and D_k for the matrix after step k (D_-1 = W), so
+    D_k(i, j) = min(D_k-1(i, j), fl(D_k-1(i, k) + D_k-1(k, j))).  A sum
+    of finite nonnegative floats is (a + b)(1 + delta) with |delta| <= u
+    (exact when subnormal), or overflows to inf, and rounding is monotone.
+
+    * D_k >= (1 - u)**(k+1) SP.  W >= SP, and a new entry is
+      fl(D_k-1(i, k) + D_k-1(k, j)) >= (1 - u)**(k+1) (SP(i, k) + SP(k, j))
+      >= (1 - u)**(k+1) SP(i, j).
+    * D_k <= (1 + u)**(k+1) SP_k.  If a shortest path for SP_k(i, j)
+      avoids k, then D_k(i, j) <= D_k-1(i, j) <= (1 + u)**k SP_k-1(i, j)
+      and SP_k-1(i, j) = SP_k(i, j).  Otherwise it splits at k, so
+      SP_k(i, j) = SP_k-1(i, k) + SP_k-1(k, j), and D_k(i, j) <=
+      fl(D_k-1(i, k) + D_k-1(k, j)) <= (1 + u)**(k+1) SP_k(i, j); when
+      that sum overflows, the right side exceeds every float already.
+
+    With k = n - 1, SP_n-1 = SP and rho = ((1 + u) / (1 - u))**n, so for
+    every triple D(i, j) <= (1 + u)**n (SP(i, k) + SP(k, j)) <= rho T,
+    T = D(i, k) + D(k, j) <= 2M, M = top.  The scan flags (i, j, k) only
+    when D(i, j) > fl(fl(T) + s) >= T (1 - u)**2 + s (1 - u) (or inf:
+    nothing flagged), s = slack, which needs T (rho - (1 - u)**2) >
+    s (1 - u).  Let x = n log((1 + u) / (1 - u)) <= 2nu / (1 - u).  A pass
+    with s <= 1e-3 M gives (n + 1) u < 2.5e-4, so x < 1e-3, hence
+    rho - 1 = e**x - 1 <= 1.001 x and rho - (1 - u)**2 <= 2.0021nu + 2u.
+    Flagging thus needs s < 2M (2.0021nu + 2u) / (1 - u) <= 4.005 (n + 1) uM.
+    Each side of the test below is off by at most u (the product by u is
+    exact), so a pass means s >= 4.009 (n + 1) uM and rules that out.  At
+    s = DEFAULT_TOL * M it passes for n up to about 2.2e6.
+    """
+    return 4.01 * (n + 1) * 2.0**-53 <= slack / top
 
 
 def _space_payload(space: FiniteMetricSpace) -> dict:

@@ -7,6 +7,7 @@ import pytest
 
 from metriclab import (
     Embedding,
+    FiniteMetricSpace,
     geometric_range_set,
     random_s_ultrametric,
     random_space,
@@ -663,3 +664,19 @@ def test_outputs_are_the_indenting_encoders_bytes(tmp_path, capsys, monkeypatch)
             json.dumps(payloads[0], sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n"
         )
         assert capsys.readouterr().out == expected, argv
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_output_is_a_clean_error_and_writes_nothing(tmp_path, capsys, monkeypatch, bad):
+    # no command's own output holds one; a space built without validation
+    # (the constructor checks no axiom) stands in for the next escape
+    space = FiniteMetricSpace(("a", "b"), np.array([[0.0, bad], [bad, 0.0]]))
+    monkeypatch.setattr(cli, "space_from_json", lambda obj, tol: space)
+    path = _write(tmp_path, "space.json", _line_space_json([0.0, 1.0], "ab"))
+    out = tmp_path / "out.json"
+    for argv in (["validate", path], ["validate", path, "--out", str(out)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Out of range float values are not JSON compliant\n"
+    assert not out.exists()

@@ -13,7 +13,15 @@ from metriclab.jsontext import dumps
 
 
 def _reference(value) -> str:
-    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _outcome(write, value):
+    """The text written, or ValueError where a non-finite float stops it."""
+    try:
+        return write(value)
+    except ValueError:
+        return ValueError
 
 
 def _nan_with_payload(mantissa: int) -> float:
@@ -59,7 +67,7 @@ json_values = st.recursive(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(json_values)
 def test_dumps_matches_the_indenting_encoder(value):
-    assert dumps(value) == _reference(value)
+    assert _outcome(dumps, value) == _outcome(_reference, value)
 
 
 @pytest.mark.parametrize(
@@ -79,7 +87,7 @@ def test_dumps_matches_the_indenting_encoder(value):
     ],
 )
 def test_dumps_matches_on_keys_escapes_and_shapes(value):
-    assert dumps(value) == _reference(value)
+    assert _outcome(dumps, value) == _outcome(_reference, value)
 
 
 @st.composite
@@ -102,8 +110,8 @@ def float_arrays(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(float_arrays())
 def test_dumps_writes_a_float_array_as_its_list(array):
-    assert dumps(array) == _reference(array.tolist())
-    assert dumps({"k": [array]}) == _reference({"k": [array.tolist()]})
+    assert _outcome(dumps, array) == _outcome(_reference, array.tolist())
+    assert _outcome(dumps, {"k": [array]}) == _outcome(_reference, {"k": [array.tolist()]})
 
 
 @pytest.mark.parametrize(
@@ -127,3 +135,11 @@ def test_dumps_rejects_every_other_array_as_json_does(array):
         dumps(array)
     with pytest.raises(TypeError):
         dumps({"k": [array]})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dumps_refuses_every_non_finite_float(bad):
+    # as a scalar, a list entry, a dict key and a matrix entry
+    for value in (bad, [1.0, bad], {bad: 1}, {"k": np.array([[0.0, bad], [bad, 0.0]])}):
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+            dumps(value)

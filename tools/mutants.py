@@ -169,6 +169,58 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "rungs not checked for strict decrease",
+        "metriclab/cantor.py",
+        "if np.isfinite(table).all() and (table > 0).all() and (table[:-1] > table[1:]).all():",
+        "if np.isfinite(table).all() and (table > 0).all():",
+        (
+            "tests/test_built_outputs.py::test_a_rung_ladder_is_what_validate_returns",
+            "tests/test_built_outputs.py::test_increasing_rungs_raise_the_strong_triangle_witness",
+        ),
+    ),
+    Mutant(
+        "max-form shortcut without the host check",
+        "metriclab/build.py",
+        "if d._exact and all(piece._exact for piece in pieces_metrics):",
+        "if all(piece._exact for piece in pieces_metrics):",
+        (
+            "tests/test_built_outputs.py::"
+            "test_an_unmarked_host_that_breaks_the_strong_triangle_is_rejected",
+            "tests/test_built_outputs.py::test_an_unmarked_host_still_takes_validate",
+        ),
+    ),
+    Mutant(
+        "closure bound without its n term",
+        "metriclab/spaces.py",
+        "return 4.01 * (n + 1) * 2.0**-53 <= slack / top",
+        "return 4.01 * 2.0**-53 <= slack / top",
+        ("tests/test_built_outputs.py::test_the_closure_certificate_refuses_below_its_bound",),
+    ),
+    Mutant(
+        "relabelling marks unmarked spaces",
+        "metriclab/build.py",
+        "return _mark_exact(out) if space._exact else out",
+        "return _mark_exact(out)",
+        ("tests/test_built_outputs.py::test_relabelling_keeps_the_mark_and_adds_none",),
+    ),
+    Mutant(
+        "every bottleneck read off the matrix",
+        MODULI,
+        "    if space._exact:\n        return space.matrix.copy()\n",
+        "    return space.matrix.copy()\n",
+        ("tests/test_built_outputs.py::test_an_unmarked_host_still_takes_validate",),
+    ),
+    Mutant(
+        "the writer lets NaN and Infinity through",
+        "metriclab/jsontext.py",
+        "return json.dumps(value, allow_nan=False)",
+        "return json.dumps(value)",
+        (
+            "tests/test_jsontext.py::test_dumps_refuses_every_non_finite_float",
+            "tests/test_cli.py::test_a_non_finite_output_is_a_clean_error_and_writes_nothing",
+        ),
+    ),
+    Mutant(
         "draw table seeded one off",
         MODULI,
         "generator = np.random.default_rng(seed)",
