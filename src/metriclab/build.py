@@ -75,12 +75,6 @@ class ClopenPartition:
             owner[list(piece)] = k
         return owner
 
-    def to_json(self) -> dict:
-        return {
-            "pieces": [list(piece) for piece in self.pieces],
-            "basepoints": list(self.basepoints),
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "ClopenPartition":
         try:
@@ -106,10 +100,6 @@ class Embedding:
             raise ValueError("coordinates must be finite")
         coords.setflags(write=False)
         object.__setattr__(self, "coordinates", coords)
-
-    @property
-    def count(self) -> int:
-        return self.coordinates.shape[0]
 
     @property
     def dimension(self) -> int:
@@ -190,7 +180,10 @@ def _assemble(
         arm[list(piece)] = metric.matrix[:, local_bp]
     bp_of = np.asarray(partition.basepoints, dtype=np.int64)[owner]
     bridge = d.matrix[np.ix_(bp_of, bp_of)]
-    out = combine(arm[:, None], bridge, arm[None, :])
+    # an inf sum is kept: intra-piece ones are overwritten below, and a
+    # cross-piece one fails the entry checks
+    with np.errstate(over="ignore"):
+        out = combine(arm[:, None], bridge, arm[None, :])
     for piece, metric in zip(partition.pieces, pieces_metrics):
         index = np.array(piece)
         out[index[:, None], index] = metric.matrix
@@ -426,13 +419,6 @@ def approximate_doubling(
     >= d(x, y) - 2 * d(x, c) - s.  So |D - d| < 2 * eps + eps / 2 + s,
     up to one rounding (relative 2**-53) per coordinate difference,
     which is <= 4 * eps for every eps above about 1e-9 of the diameter.
-
-    Bytes.  Extending the net's distance rows to the points x outside
-    the net by McShane's formula, min over net points a of
-    fl(d(a, c) + d(x, a)), gives the same coordinates (hence the same
-    output) exactly when d(x, c) <= fl(d(x, a) + d(a, c)) for every such
-    x and all net points a, c: the host meets the triangle inequality at
-    slack 0 on those triples.
     """
     net = greedy_net(d, eps)
     aux = np.arange(d.n, dtype=float) * (eps / (2 * d.n))

@@ -16,7 +16,6 @@ questions.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -25,7 +24,6 @@ from .errors import WindowMiss
 EXPLICIT = "explicit"
 GEOMETRIC = "geometric"
 DOUBLE_EXPONENTIAL = "double_exponential"
-KINDS = (EXPLICIT, GEOMETRIC, DOUBLE_EXPONENTIAL)
 
 # Slack used when verifying a claimed envelope against float values.
 _ENVELOPE_RTOL = 1e-12
@@ -87,28 +85,16 @@ def _exponent(S: RangeSet, x: float) -> int:
     """Least n >= 0 with _element(S, n) <= x, for x > 0.
 
     Elements never increase with n and reach 0 (an explicit set past its
-    last value, a parametric one by underflow), so the answer exists.  An
-    explicit set bisects its values.  For a parametric set a log estimate
-    only picks the starting point: the search gallops from it until it
-    brackets the answer, then bisects.
+    last value, a parametric one by underflow), so the answer exists.
+    The search reads S only through _element: it gallops up from n = 0,
+    doubling hi until it brackets the answer, then bisects.
     """
     if x >= _element(S, 0):
         return 0
-    if S.kind == EXPLICIT:
-        return len(S.values) - bisect.bisect_right(S.values, x)
-    if S.kind == GEOMETRIC:
-        # log(x) - log(scale), not log(x / scale): the quotient can underflow.
-        level = (math.log(x) - math.log(S.scale)) / math.log(S.ratio)
-    else:
-        level = math.log2(math.log(x) / math.log(S.base))
-    # Bracket: _element(lo) > x >= _element(hi).  lo = 0 always meets
-    # its side, since x < _element(0).
-    hi = max(1, math.floor(level))
-    lo, step = hi - 1, 1
-    while _element(S, lo) <= x:
-        lo, hi, step = max(0, lo - step), lo, 2 * step
+    # Bracket: _element(lo) > x >= _element(hi).
+    lo, hi = 0, 1
     while _element(S, hi) > x:
-        lo, hi, step = hi, hi + step, 2 * step
+        lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _element(S, mid) <= x:
@@ -273,12 +259,10 @@ def ladder(S: RangeSet, top: float, count: int) -> tuple[float, ...]:
         raise ValueError("count must be >= 1")
     if not top > 0:
         raise ValueError("top must be positive")
-    first = greatest_leq(S, top)
-    if first == 0.0:
-        raise ValueError(f"no positive element of S lies below {top!r}")
-    # Rungs are recomputed from the exponent so they match least_geq bitwise.
     n0 = _exponent(S, top)
     rungs = tuple(_element(S, n0 + j) for j in range(count))
+    if rungs[0] == 0.0:
+        raise ValueError(f"no positive element of S lies below {top!r}")
     # An explicit set runs out of values; past the normal range a
     # parametric set's consecutive elements round to one value or to 0.
     if S.kind == EXPLICIT and rungs[-1] == 0.0:
@@ -287,7 +271,7 @@ def ladder(S: RangeSet, top: float, count: int) -> tuple[float, ...]:
         )
     if rungs[-1] == 0.0 or any(b >= a for a, b in zip(rungs, rungs[1:])):
         raise ValueError(
-            f"S holds no {count} strictly decreasing positive floats from {first!r} down"
+            f"S holds no {count} strictly decreasing positive floats from {rungs[0]!r} down"
         )
     return rungs
 

@@ -115,6 +115,8 @@ def _subdominant_ultrametric(matrix: np.ndarray) -> np.ndarray:
 _SCAN_BLOCK_ELEMENTS = 1 << 16
 
 
+# a bound that overflows to inf flags nothing, which is the right verdict
+@np.errstate(over="ignore")
 def _first_triangle_violation(matrix: np.ndarray, slack: float, strong: bool):
     """Lexicographically first (i, j, k) violating the (strong) triangle
     inequality, or None.

@@ -307,15 +307,17 @@ def up_obstruction_by_scan(s_values, c: float, n_max: int) -> int | None:
     return None
 
 
-def parametric_elements(kind: str, param: float, scale: float = 1.0) -> list[float]:
+def parametric_elements(
+    kind: str, param: float, scale: float = 1.0, limit: int | None = None
+) -> list[float]:
     """Positive elements of a geometric or double-exponential range set
     in exponent order: scale * ratio**n or base**(2**n) for n = 0, 1, ...,
-    as floats, until the value underflows to 0."""
+    as floats, until the value underflows to 0 or `limit` are listed."""
     elements = []
     while True:
         n = len(elements)
         value = scale * param**n if kind == "geometric" else param ** (2**n)
-        if value == 0.0:
+        if value == 0.0 or n == limit:
             return elements
         elements.append(value)
 

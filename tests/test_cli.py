@@ -261,7 +261,7 @@ def test_approximate_doubling_payload(tmp_path, capsys):
     assert sup_distance(out, space) <= 4 * eps
     embedding = Embedding(payload["embedding"]["coordinates"])
     assert embedding.dimension == payload["embedding"]["dimension"]
-    assert embedding.count == space.n
+    assert embedding.coordinates.shape[0] == space.n
     assert np.array_equal(embedding.pairwise_linf(), out.matrix)
 
 

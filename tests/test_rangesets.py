@@ -105,11 +105,21 @@ def test_double_exponential_neighbors_are_bitwise_exact():
     assert greatest_leq(S, 0.6) == 0.5
 
 
-_PARAMETRIC_SETS = [
-    ("geometric", ratio, scale)
-    for scale in (1e-300, 1.0, 3.7, 1e300)
-    for ratio in (0.001, 0.1, 0.5, 0.9, 0.999)
-] + [("double_exponential", base, 1.0) for base in (1e-100, 0.001, 0.5, 0.9, 0.999999)]
+# At ratio or base 1 - 2**-53 the top elements are consecutive floats,
+# so a query one ulp off an element is the next element.
+_NEAR_ONE = 1 - 2**-53
+_PARAMETRIC_SETS = (
+    [
+        ("geometric", ratio, scale)
+        for scale in (1e-300, 1.0, 3.7, 1e300)
+        for ratio in (0.001, 0.1, 0.5, 0.9, 0.999)
+    ]
+    + [
+        ("double_exponential", base, 1.0)
+        for base in (1e-100, 0.001, 0.5, 0.9, 0.999999, _NEAR_ONE)
+    ]
+    + [("geometric", _NEAR_ONE, 1.0)]
+)
 
 
 @pytest.mark.parametrize("kind,param,scale", _PARAMETRIC_SETS)
@@ -118,7 +128,11 @@ def test_parametric_queries_match_enumeration(kind, param, scale):
         S = geometric_range_set(param, scale=scale)
     else:
         S = double_exponential_range_set(param)
-    elements = orc.parametric_elements(kind, param, scale)
+    # Ratio 1 - 2**-53 holds about 2**62 elements before underflow; its
+    # first 64 settle every query, ladders of 3 included, at or above
+    # the 62nd, and only those queries are asked.
+    listed = 64 if (kind, param) == ("geometric", _NEAR_ONE) else None
+    elements = orc.parametric_elements(kind, param, scale, listed)
     members = [0.0] + sorted(elements)
     last = len(elements) - 1
     picks = {0, 1, 2, last // 2, last - 2, last - 1, last} & set(range(last + 1))
@@ -126,6 +140,9 @@ def test_parametric_queries_match_enumeration(kind, param, scale):
     for n in sorted(picks):
         v = elements[n]
         xs += [v, v * (1 + 1e-15), v * (1 - 1e-15)]
+        xs += [math.nextafter(v, 0.0), math.nextafter(v, math.inf)]
+    if listed is not None:
+        xs = [x for x in xs if x >= elements[-3]]
     for x in xs:
         assert least_geq(S, x) == orc.least_geq_by_scan(members, x)
         below = greatest_leq(S, x)

@@ -221,6 +221,41 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "least-element bisect keeps x on the high side",
+        "metriclab/rangesets.py",
+        "if _element(S, mid) <= x:",
+        "if _element(S, mid) < x:",
+        ("tests/test_rangesets.py::test_parametric_queries_match_enumeration",),
+    ),
+    Mutant(
+        "least-element gallop starts past n = 0",
+        "metriclab/rangesets.py",
+        "lo, hi = 0, 1",
+        "lo, hi = 1, 2",
+        ("tests/test_rangesets.py::test_parametric_queries_match_enumeration",),
+    ),
+    Mutant(
+        "sum-form amalgam overflow unguarded",
+        "metriclab/build.py",
+        '    with np.errstate(over="ignore"):\n'
+        "        out = combine(arm[:, None], bridge, arm[None, :])\n",
+        "    out = combine(arm[:, None], bridge, arm[None, :])\n",
+        (
+            "tests/test_cli_sweep.py::"
+            "test_every_row_ends_in_strict_json_or_a_clean_error[amalgamate]",
+        ),
+    ),
+    Mutant(
+        "triangle scan overflow unguarded",
+        "metriclab/spaces.py",
+        '@np.errstate(over="ignore")\ndef _first_triangle_violation(',
+        "def _first_triangle_violation(",
+        (
+            "tests/test_cli_sweep.py::"
+            "test_every_row_ends_in_strict_json_or_a_clean_error[validate]",
+        ),
+    ),
+    Mutant(
         "draw table seeded one off",
         MODULI,
         "generator = np.random.default_rng(seed)",
