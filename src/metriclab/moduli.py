@@ -215,19 +215,22 @@ def _blocks(count: int, width: int):
         yield start, min(start + step, count)
 
 
-def _ball_prefix_candidates(matrix: np.ndarray, beta: float, floor, extremes):
+def _ball_prefix_candidates(matrix, entries, beta: float, floor, extremes):
     """Deterministic candidates: prefixes of every sorted distance row.
 
     For each center c, the points o_0, o_1, ... in stable distance order
-    from c yield nested "balls" P_r = {o_0, ..., o_r}.  Yields (ratio,
-    witness tuple) of the best prefix (the first argmax) per center that
-    can reach the caller's best.  The caller keeps the largest ratio,
-    then the least tuple, whatever the order of arrival, so centers are
-    scored in fixed blocks of _BLOCK_ENTRIES // n (:func:`_blocks`) and
-    `floor()` is read per block, not per center.  P_r holds (o_1, o_0)
-    and (o_r, o_0), so its ratio is at most bound_r = (r+1) * (d(o_1,
-    o_0) / d(o_r, o_0))**beta; ``**`` is off by a few ulps, so a prefix is
-    live only if bound_r * _BOUND_MARGIN reaches the floor, and a dead one
+    from c yield nested "balls" P_r = {o_0, ..., o_r}, scored from r = 2
+    on: P_1 is a pair, and no pair is ever scored (see
+    :func:`doubling_constant`).  Centers are scored in fixed blocks of
+    _BLOCK_ENTRIES // n (:func:`_blocks`), `floor()` is read once per
+    block, and each block yields one (ratio, witness tuple): the largest
+    best prefix (the first argmax per center) of its centers, with the
+    least tuple among the centers tied at it.  The caller keeps the
+    largest ratio, then the least tuple, whatever the order of arrival,
+    so that is all of the block it can keep.  P_r holds (o_1, o_0) and
+    (o_r, o_0), so its ratio is at most bound_r = (r+1) * (d(o_1, o_0) /
+    d(o_r, o_0))**beta; ``**`` is off by a few ulps, so a prefix is live
+    only if bound_r * _BOUND_MARGIN reaches the floor, and a dead one
     scores below it.
 
     With rank(x) the position of x in the order, P_r holds the listed
@@ -237,18 +240,19 @@ def _ball_prefix_candidates(matrix: np.ndarray, beta: float, floor, extremes):
     `enter` above r.  That gives sep and diam exactly, with no gather,
     for r >= r0, the first prefix holding a pair of each list.  These
     ratios are achieved, so the floor is raised to their largest before
-    the live prefixes below r0 are gathered (:func:`_head_prefixes`); a
-    padded one is the center's own, and from r0 on bit-equal to the list
-    read.  Every floor is at most the final best: the search stays exact.
+    the live prefixes below r0 are gathered from `entries`, the raveled
+    matrix (:func:`_head_prefixes`); a padded one is the center's own,
+    and from r0 on bit-equal to the list read.  Every floor is at most
+    the final best: the search stays exact.
     """
     n = matrix.shape[0]
-    cards = np.arange(2, n + 1, dtype=float)
-    prefixes = np.arange(1, n)
+    cards = np.arange(3, n + 1, dtype=float)
+    prefixes = np.arange(2, n)
     everything = tuple(range(n))
     for lo, hi in _blocks(n, n):
         order = np.argsort(matrix[lo:hi], axis=1, kind="stable")
         arm = matrix[order[:, 1:], order[:, :1]]
-        bounds = cards * (arm[:, :1] / arm) ** beta * _BOUND_MARGIN
+        bounds = cards * (arm[:, :1] / arm[:, 1:]) ** beta * _BOUND_MARGIN
         live = bounds >= floor()
         kept = live.any(axis=1)
         if not kept.any():
@@ -266,42 +270,53 @@ def _ball_prefix_candidates(matrix: np.ndarray, beta: float, floor, extremes):
         raised = max(floor(), ratios.max())
         heads = (bounds >= raised) & (prefixes < r0[:, None])
         sizes = np.where(heads.any(axis=1), n - np.argmax(heads[:, ::-1], axis=1), 0)
-        for group, head in _head_prefixes(matrix, beta, cards, order, sizes):
+        for group, head in _head_prefixes(entries, beta, cards, order, sizes):
             ratios[group, : head.shape[1]] = np.maximum(ratios[group, : head.shape[1]], head)
-        best, where = ratios.max(axis=1), ratios.argmax(axis=1) + 2
-        for i in np.nonzero(best >= raised)[0].tolist():
-            ratio = float(best[i])
-            if ratio >= floor():
-                size = int(where[i])
-                yield ratio, everything if size == n else tuple(np.sort(order[i, :size]).tolist())
+        best = ratios.max(axis=1)
+        top = float(best.max())
+        if top >= floor():
+            where = ratios.argmax(axis=1) + 3
+            tied = np.nonzero(best == top)[0].tolist()
+            yield top, min(
+                everything if where[i] == n else tuple(np.sort(order[i, : where[i]]).tolist())
+                for i in tied
+            )
 
 
 def _held_values(enter, values, tail):
-    """`values` of the first listed pair P_r holds, at each (center, r) in `tail`."""
-    rows, n = tail.shape[0], tail.shape[1] + 1
+    """`values` of the first listed pair P_r holds, at each (center, r >= 2) in `tail`."""
+    rows, n = tail.shape[0], tail.shape[1] + 2
     enter = np.minimum.accumulate(enter, axis=1)
     counts = np.bincount((enter + n * np.arange(rows)[:, None]).ravel(), minlength=rows * n)
-    below = np.cumsum(counts.reshape(rows, n), axis=1)[:, 1:]
+    below = np.cumsum(counts.reshape(rows, n), axis=1)[:, 2:]
     return values[values.size - below[tail]]
 
 
-def _head_prefixes(matrix, beta, cards, order, sizes):
-    """Yields (centers, ratios of P_1 .. P_{w-1}) for heads of h >= 2 points, by
+def _head_prefixes(entries, beta, cards, order, sizes):
+    """Yields (centers, ratios of P_2 .. P_{w-1}) for heads of h >= 3 points, by
     chunks: the largest head left, of w points, and the next by size while
-    h > w/2 and the cube stays within max(w*w, _BLOCK_ENTRIES) entries."""
-    members = np.argsort(-sizes, kind="stable")[: np.count_nonzero(sizes >= 2)]
+    h > w/2 and the cube stays within max(w*w, _BLOCK_ENTRIES) entries.
+    A chunk's cube is gathered from `entries`, the raveled matrix, at the
+    flat positions o_a * n + o_b: one ``take`` per slab of rows a, each
+    index within max(g*w, _BLOCK_ENTRIES) entries for g centers, so the
+    index never doubles a wide cube."""
+    n = order.shape[1]
+    members = np.argsort(-sizes, kind="stable")[: np.count_nonzero(sizes)]
     lo = 0
     while lo < members.size:
         width = int(sizes[members[lo]])
         group = members[lo : lo + max(1, _BLOCK_ENTRIES // (width * width))]
         group = group[2 * sizes[group] > width]
         lo += group.size
-        cube = matrix[order[group, :width, None], order[group, None, :width]]
+        rows = order[group, :width]
+        cube = np.empty((group.size, width, width))
+        for a, b in _blocks(width, rows.size):  # the index is intp: build it by slabs
+            cube[:, a:b] = entries.take(rows[:, a:b, None] * n + rows[:, None, :])
         tri = np.tri(width, k=-1, dtype=bool)
         diam = np.maximum.accumulate(cube.max(axis=2, where=tri, initial=-np.inf), axis=1)
         sep = np.minimum.accumulate(cube.min(axis=2, where=tri, initial=np.inf), axis=1)
         del cube  # before the next chunk's cube is gathered
-        yield group, cards[: width - 1] * (sep[:, 1:] / diam[:, 1:]) ** beta
+        yield group, cards[: width - 2] * (sep[:, 2:] / diam[:, 2:]) ** beta
 
 
 @functools.lru_cache(maxsize=_DRAW_CACHE_SIZE)
@@ -310,41 +325,55 @@ def _draw_subsets(seed: int, n: int, budget: int):
     as the doubling search draws them: integers(2, n + 1) for the size
     k, then choice(n, size=k, replace=False), one subset after the other.
 
-    Returns read-only (sizes, flat): the sizes, and every draw in order
-    concatenated, in the smallest unsigned dtype that holds n - 1.
+    Returns read-only (sizes, positions): the sizes, and for every drawn
+    point a of a subset (a_0, ..., a_{k-1}), in draw order, its arm
+    position a_0 * n + a in the raveled matrix, in the smallest unsigned
+    dtype that holds n * n - 1; the point itself is position % n.  Each
+    draw is written straight into the table, sized for the expected
+    budget * (n + 2) / 2 points, grown by an eighth when a draw
+    overflows it and cut to the drawn count, and a_0 * n is then added
+    in blocks (:func:`_blocks`), so the build holds no second copy.
     """
     generator = np.random.default_rng(seed)
-    dtype = np.min_scalar_type(n - 1)
     sizes = np.empty(budget, dtype=np.intp)
-    draws = [np.empty(0, dtype)]
+    positions = np.empty(budget * (n + 2) // 2, np.min_scalar_type(n * n - 1))
+    end = 0
     for i in range(budget):
         k = int(generator.integers(2, n + 1))
         sizes[i] = k
-        draws.append(generator.choice(n, size=k, replace=False).astype(dtype))
-    flat = np.concatenate(draws)
-    sizes.flags.writeable = flat.flags.writeable = False
-    return sizes, flat
+        if end + k > positions.size:  # no view of the table exists yet
+            positions.resize(end + k + positions.size // 8, refcheck=False)
+        positions[end : end + k] = generator.choice(n, size=k, replace=False)
+        end += k
+    positions.resize(end, refcheck=False)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    for lo, hi in _blocks(budget, n):
+        heads = positions[starts[lo:hi]] * n
+        positions[starts[lo] : ends[hi - 1]] += np.repeat(heads, sizes[lo:hi])
+    sizes.flags.writeable = positions.flags.writeable = False
+    return sizes, positions
 
 
-def _arm_bounds(matrix: np.ndarray, beta: float, sizes: np.ndarray, flat: np.ndarray):
+def _arm_bounds(entries, beta: float, sizes: np.ndarray, positions: np.ndarray):
     """Arm bound k * (min arm / max arm)**beta of every drawn subset.
 
     The arm of a subset A = (a_0, ..., a_{k-1}) is d(a_0, a) over its
-    other points a.  Subsets are taken in fixed blocks of _BLOCK_ENTRIES
-    // n (:func:`_blocks`), so a block holds at most max(n, _BLOCK_ENTRIES)
-    drawn points.  Each block is one gather of d(a_0, a) over all its
-    points (a_0's own 0 included), then ``maximum.reduceat`` per subset
-    and, with that 0 set to inf, ``minimum.reduceat``.  Returns the
-    bounds and each subset's offset into `flat`.
+    other points a, read from `entries`, the raveled matrix, at the
+    cached arm positions (:func:`_draw_subsets`).  Subsets are taken in
+    fixed blocks of _BLOCK_ENTRIES // n (:func:`_blocks`), so a block
+    holds at most max(n, _BLOCK_ENTRIES) drawn points.  Each block is
+    one ``take`` of its arms (a_0's own 0 included), then
+    ``maximum.reduceat`` per subset and, with that 0 set to inf,
+    ``minimum.reduceat``.  Returns the bounds and each subset's offset
+    into `positions`.
     """
-    n = matrix.shape[0]
     ends = np.cumsum(sizes)
     starts = ends - sizes
     bounds = np.empty(sizes.size)
-    for lo, hi in _blocks(sizes.size, n):
-        points = flat[starts[lo] : ends[hi - 1]]
+    for lo, hi in _blocks(sizes.size, math.isqrt(entries.size)):
+        arms = entries.take(positions[starts[lo] : ends[hi - 1]])
         heads = starts[lo:hi] - starts[lo]
-        arms = matrix[np.repeat(points[heads], sizes[lo:hi]), points]
         longest = np.maximum.reduceat(arms, heads)
         arms[heads] = np.inf
         shortest = np.minimum.reduceat(arms, heads)
@@ -367,24 +396,33 @@ def doubling_constant(
     budget) only, never on the matrix, so they are drawn into one table
     (:func:`_draw_subsets`), cached per process under that key, at most
     _DRAW_CACHE_SIZE keys; its arrays are read-only since calls share
-    them.  One key holds about budget * (n + 2) / 2 small ints: 4 MiB at
-    n = 2048 with the default budget.
+    them.  It holds each drawn point's arm position a_0 * n + a in the
+    raveled matrix (a_0 its subset's first point; the point is the
+    position % n): with the default budget, 7.8 MiB at n = 2048, 2.0 MiB
+    at n = 512 and 0.25 MiB at n = 128.
+
+    No pair is ever scored: a pair's ratio is 2 * 1.0**beta = 2.0
+    exactly, and (0, 1), considered first, is the least pair.  So the
+    ball prefixes start at three points and two-point samples are dropped.
 
     The search skips candidates that provably cannot reach the running
     best, without changing its result.  For a random subset A, one arm
     d(a_0, a) over its other points a is read: sep(A) <= min arm and
     diam(A) >= max arm, so card * (min arm / max arm)**beta bounds its
-    ratio.  Every subset's bound is computed at once (:func:`_arm_bounds`);
-    the subsets whose bound times _BOUND_MARGIN reaches the best are then
-    scored in fixed blocks of _BLOCK_ENTRIES // n, as rows of a membership
-    matrix (one ``argmax`` per row finds each list's first held pair),
-    and only those whose numpy ratio times the margin still reaches the
-    best get their exact ratio (:func:`_subset_ratio`) and witness.
-    The margin covers the few ulps of ``**`` error, so no filter drops
-    a subset that could tie or beat the best; ball prefixes are pruned
-    the same way (:func:`_ball_prefix_candidates`).  consider() keeps
-    the largest ratio, then the least tuple, whatever the order of
-    arrival, so the report is that of the unpruned search.
+    ratio.  Every subset's bound is computed at once, one ``take`` of
+    the cached arm positions per block (:func:`_arm_bounds`); the
+    subsets of three or more points whose bound times _BOUND_MARGIN
+    reaches the best are then scored in fixed blocks of _BLOCK_ENTRIES
+    // n, as rows of a membership matrix (one ``argmax`` per row finds
+    each list's first held pair), and only those whose numpy ratio
+    times the margin still reaches the best get their exact ratio
+    (:func:`_subset_ratio`) and witness.  The margin covers the few ulps
+    of ``**`` error, so no filter drops a subset that could tie or beat
+    the best; ball prefixes are pruned the same way, and each block of
+    centers yields one candidate, its largest ratio with the least tied
+    tuple (:func:`_ball_prefix_candidates`).  consider() keeps the
+    largest ratio, then the least tuple, whatever the order of arrival,
+    so the report is that of the unpruned search.
 
     Candidates are scored from the n smallest and n largest pairs,
     built once (:func:`_extreme_pairs`): the full set, every ball prefix
@@ -407,7 +445,8 @@ def doubling_constant(
         constant, witness = _exhaustive_doubling(m, beta)
         return DoublingReport(beta, constant, witness, "exhaustive")
 
-    sizes, flat = _draw_subsets(int(rng), n, int(budget))
+    sizes, positions = _draw_subsets(int(rng), n, int(budget))
+    entries = m.ravel()  # read by flat position: a view unless m is not C-ordered
     best = -np.inf
     witness: tuple[int, ...] = ()
 
@@ -417,20 +456,21 @@ def doubling_constant(
             best = ratio
             witness = subset
 
-    # Every pair has diam = sep, hence ratio exactly 2.
+    # Every pair has diam = sep, hence ratio exactly 2, and (0, 1) is the
+    # least pair: no other pair is scored.
     consider(2.0, (0, 1))
     extremes = _extreme_pairs(m)
     (_, _, small), (_, _, large) = extremes
     consider(_subset_ratio(beta, n, float(large[0]), float(small[0])), tuple(range(n)))
-    for ratio, subset in _ball_prefix_candidates(m, beta, lambda: best, extremes):
+    for ratio, subset in _ball_prefix_candidates(m, entries, beta, lambda: best, extremes):
         consider(ratio, subset)
-    bounds, starts = _arm_bounds(m, beta, sizes, flat)
-    passed = np.nonzero(bounds * _BOUND_MARGIN >= best)[0]
+    bounds, starts = _arm_bounds(entries, beta, sizes, positions)
+    passed = np.nonzero((bounds * _BOUND_MARGIN >= best) & (sizes > 2))[0]
     for lo, hi in _blocks(passed.size, n):
         block = passed[lo:hi]
         k = sizes[block]
         ends = np.cumsum(k)
-        points = flat[np.arange(ends[-1]) + np.repeat(starts[block] - (ends - k), k)]
+        points = positions[np.arange(ends[-1]) + np.repeat(starts[block] - (ends - k), k)] % n
         inside = np.zeros((block.size, n), dtype=bool)
         inside[np.repeat(np.arange(block.size), k), points] = True
         sep, diam = (_first_held(pairs, inside) for pairs in extremes)

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles as orc
-from metriclab import moduli
+from metriclab import lab, moduli
 from metriclab import (
     BadScaleCutoff,
     DegenerateSpace,
@@ -27,7 +27,7 @@ from metriclab import (
     up_constant,
     validate,
 )
-from metriclab.cantor import geometric_prefix_ultrametric, sequential_metric
+from metriclab.cantor import _build_recipe, geometric_prefix_ultrametric, sequential_metric
 from metriclab.lab import _progression_space, _uniform_space
 from metriclab.moduli import (
     EXHAUSTIVE_LIMIT,
@@ -283,6 +283,48 @@ def test_doubling_sampled_matches_the_unpruned_search_on_large_closure_hosts(
     assert (report.constant, report.witness, report.mode) == (*expected, "sampled")
 
 
+# Every type recipe at depths 5 and 6; the fat rings need 81 points, so depth 7.
+_RECIPE_CASES = [
+    (bits, depth)
+    for bits in [(a, b, c) for a in (1, 0) for b in (1, 0) for c in (1, 0)]
+    for depth in ((7,) if bits[:2] == (0, 0) else (5, 6))
+]
+
+
+@pytest.mark.parametrize("bits, depth", _RECIPE_CASES)
+def test_doubling_sampled_matches_the_unpruned_search_on_the_type_recipes(bits, depth):
+    # the fat rings and two-cluster hosts tie whole blocks of centers at
+    # the best ratio, and each block yields one candidate: the least tied
+    # tuple; shuffled, as generate_type does, so ties break off index order
+    matrix = _build_recipe(bits, depth)[0]
+    perm = trial_rng(depth, 0).permutation(len(matrix))
+    space = FiniteMetricSpace(tuple(map(str, perm)), matrix[np.ix_(perm, perm)])
+    for beta in (0.5, 1.0, 2.0, 3.0):
+        report = doubling_constant(space, beta, budget=60, rng=depth)
+        expected = orc.doubling_sampled_by_full_scan(space.matrix, beta, 60, depth)
+        assert (report.constant, report.witness, report.mode) == (*expected, "sampled")
+
+
+def test_doubling_sampled_matches_the_unpruned_search_on_the_type_grid_amalgams(monkeypatch):
+    # the amalgams that the type grid classifies: two pieces glued at one
+    # cross distance, so many centers tie
+    amalgams = []
+
+    def spy(space, **kwargs):
+        amalgams.append(space)
+        return classify(space, **kwargs)
+
+    monkeypatch.setattr(lab, "classify", spy)
+    report = lab.run_experiment(lab.ExperimentConfig("type_grid", depth=6, seed=9))
+    # at depth 6 the two fat-ring targets stop before their amalgam
+    assert len(amalgams) == sum(row["amalgam"] is not None for row in report["rows"]) == 6
+    for index, space in enumerate(amalgams):
+        beta = (0.5, 1.0, 2.0, 3.0)[index % 4]
+        report = doubling_constant(space, beta, budget=60, rng=index)
+        expected = orc.doubling_sampled_by_full_scan(space.matrix, beta, 60, index)
+        assert (report.constant, report.witness, report.mode) == (*expected, "sampled")
+
+
 def test_doubling_draw_tables_follow_the_seed_n_and_budget():
     # the random subsets hang on (seed, n, budget) alone: interleaved
     # calls that repeat a key, change n or shrink the budget under the
@@ -386,16 +428,22 @@ def test_doubling_sampled_search_when_the_lists_hold_every_pair(monkeypatch):
 def test_ball_prefixes_gather_far_fewer_than_n_cubed_entries():
     # every center of a closure host is live, so a gather of each whole
     # live block reads about n**3 entries; gathering only the prefixes
-    # before r0 reads a small share of that
+    # before r0 reads a small share of that.  Every read counts: an
+    # index or slice of the matrix and a take from it or its raveled view
     class CountingMatrix(np.ndarray):
         reads = []
 
-        def __getitem__(self, key):
-            out = super().__getitem__(key)
+        def _counted(self, out):
             if isinstance(out, np.ndarray):
                 self.reads.append(out.size)
                 out = out.view(np.ndarray)
             return out
+
+        def __getitem__(self, key):
+            return self._counted(super().__getitem__(key))
+
+        def take(self, *args, **kwargs):
+            return self._counted(super().take(*args, **kwargs))
 
     n = 256
     space = random_space("closure", n, trial_rng(43, 0))
@@ -482,7 +530,7 @@ def test_doubling_block_with_heads_of_two_size_classes(monkeypatch):
     def spy(matrix, beta, cards, order, sizes):
         blocks.append([])
         for group, ratios in head_prefixes(matrix, beta, cards, order, sizes):
-            blocks[-1].append((int(sizes[group].min()), ratios.shape[1] + 1))
+            blocks[-1].append((int(sizes[group].min()), ratios.shape[1] + 2))
             yield group, ratios
 
     monkeypatch.setattr(moduli, "_head_prefixes", spy)
@@ -509,6 +557,22 @@ def test_doubling_memory_stays_near_the_extreme_pair_lists():
         finally:
             tracemalloc.stop()
         assert peak <= 5 * 2**20, (kind, beta, peak)
+
+
+def test_draw_table_build_holds_no_second_copy_of_the_table():
+    # the draws go straight into the table, which grows by an eighth when
+    # one overflows it, and a_0 * n is added in blocks: a list of the
+    # draws with their concatenation, or a whole-table repeat of the
+    # heads, would each add at least half a table more
+    n, budget = 512, 2000
+    tracemalloc.start()
+    try:
+        sizes, positions = moduli._draw_subsets.__wrapped__(0, n, budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert positions.dtype == np.uint32 and positions.size == sizes.sum()
+    assert peak <= 1.25 * positions.nbytes, (peak, positions.nbytes)
 
 
 # ---------------------------------------------------------------------------

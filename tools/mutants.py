@@ -256,6 +256,37 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "every live prefix gathered",
+        MODULI,
+        "heads = (bounds >= raised) & (prefixes < r0[:, None])",
+        "heads = live",
+        ("tests/test_moduli.py::test_ball_prefixes_gather_far_fewer_than_n_cubed_entries",),
+    ),
+    Mutant(
+        "random triples dropped with the pairs",
+        MODULI,
+        "& (sizes > 2))[0]",
+        "& (sizes > 3))[0]",
+        ("tests/test_moduli.py::test_doubling_sampled_report_is_pinned",),
+    ),
+    Mutant(
+        "block yields the largest tied tuple",
+        MODULI,
+        "yield top, min(",
+        "yield top, max(",
+        (
+            "tests/test_moduli.py::"
+            "test_doubling_sampled_matches_the_unpruned_search_on_the_type_recipes",
+        ),
+    ),
+    Mutant(
+        "arm positions at stride n - 1",
+        MODULI,
+        "heads = positions[starts[lo:hi]] * n",
+        "heads = positions[starts[lo:hi]] * (n - 1)",
+        ("tests/test_moduli.py::test_doubling_sampled_report_is_pinned",),
+    ),
+    Mutant(
         "draw table seeded one off",
         MODULI,
         "generator = np.random.default_rng(seed)",
