@@ -23,9 +23,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import math
-import numbers
-from dataclasses import MISSING, dataclass, field, fields
+import operator
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -53,6 +52,7 @@ from .jsontext import dumps
 from .moduli import (
     DEFAULT_THRESHOLDS,
     Thresholds,
+    _is_integer,
     _is_number,
     classify,
     doubling_constant,
@@ -74,10 +74,6 @@ from .spaces import (
 # Budget for the before/after modulus measurements recorded per trial
 # (kept modest: these are report fields, not the pass/fail criteria).
 _RECORD_BUDGET = 400
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -138,40 +134,6 @@ class ExperimentConfig:
             return cls(**args)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed experiment config: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    trial: int
-    digest: str
-    epsilon: float
-    achieved: float
-    bound: float
-    passed: bool
-    before: dict = field(default_factory=dict)
-    after: dict = field(default_factory=dict)
-    error: str | None = None
-
-    def to_row(self) -> dict:
-        def clean(value):
-            if isinstance(value, float) and math.isnan(value):
-                return None
-            return value
-
-        row = {
-            "trial": self.trial,
-            "digest": self.digest,
-            "epsilon": clean(self.epsilon),
-            "achieved": clean(self.achieved),
-            "bound": clean(self.bound),
-            "pass": self.passed,
-            "error": self.error,
-        }
-        for key, value in sorted(self.before.items()):
-            row[f"before_{key}"] = clean(value)
-        for key, value in sorted(self.after.items()):
-            row[f"after_{key}"] = clean(value)
-        return row
 
 
 def matrix_digest(space: FiniteMetricSpace) -> str:
@@ -257,7 +219,37 @@ def _modulus(name: str, space: FiniteMetricSpace, thresholds: Thresholds) -> flo
     return up_report(space, space.separation).c_star
 
 
-def _dense_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
+# A check is (name, value, relation, bound); a row passes when every
+# check of its trial holds.
+_RELATIONS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+}
+
+
+def _passes(checks) -> bool:
+    return all(_RELATIONS[relation](value, bound) for _, value, relation, bound in checks)
+
+
+def _row(trial, space, eps, achieved, bound, before, after) -> dict:
+    """A trial's report row; `space` is the matrix its digest names."""
+    row = {
+        "trial": trial,
+        "digest": matrix_digest(space),
+        "epsilon": eps,
+        "achieved": achieved,
+        "bound": bound,
+        "error": None,
+    }
+    row.update((f"before_{key}", value) for key, value in before.items())
+    row.update((f"after_{key}", value) for key, value in after.items())
+    return row
+
+
+def _dense_trial(config: ExperimentConfig, trial: int):
     rng = trial_rng(config.seed, trial)
     sampler, modulus = _DENSE_KINDS[config.experiment]
     S = geometric_range_set(0.5) if sampler == "s_ultrametric" else None
@@ -268,57 +260,53 @@ def _dense_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
     eps = _absolute_epsilon(config, host)
     before = {modulus: _modulus(modulus, host, config.thresholds)}
 
-    scale, holds = eps, True  # the bound's eps and the pipeline's own check
+    scale = eps  # the bound's eps
     if config.experiment == "dense_doubling":
         out, embedding = approximate_doubling(host, eps)
         after = {"embedding_dimension": float(embedding.dimension)}
+        checks = []
     elif config.experiment == "dense_up":
         out, report = approximate_up(host, eps)
-        scale, holds = report.eps_effective, report.c_star >= report.bound
+        scale = report.eps_effective
         after = {
             "c_star": report.c_star,
             "heredity_floor": report.bound,
             "eps_effective": report.eps_effective,
         }
+        checks = [("c_star", report.c_star, ">=", report.bound)]
     else:
         out, report = approximate_ud(host, eps, S=S)
-        holds = report.delta_star > 0
         after = {"delta_star": report.delta_star}
+        checks = [("delta_star", report.delta_star, ">", 0.0)]
     if S is None:
-        achieved, bound = sup_distance(out, host), 4 * scale
+        achieved, bound = float(sup_distance(out, host)), float(4 * scale)
     else:
-        achieved, bound = ultra_distance(out, host, S), scale
+        achieved, bound = float(ultra_distance(out, host, S)), float(scale)
+    checks.append(("distance", achieved, "<=", bound))
     if modulus not in after:
         after[modulus] = _modulus(modulus, out, config.thresholds)
-    return TrialRecord(
-        trial=trial,
-        digest=matrix_digest(host),
-        epsilon=eps,
-        achieved=float(achieved),
-        bound=float(bound),
-        passed=bool(achieved <= bound and holds),
-        before=before,
-        after=after,
-    )
+    return _row(trial, host, eps, achieved, bound, before, after), checks
 
 
 def _run_trials(trial_fn, config: ExperimentConfig) -> list[dict]:
-    """One row per trial; a library error becomes a failed error row."""
+    """One row per trial, its `pass` from the checks that `trial_fn`
+    returns with it; a library error becomes a failed row of nulls."""
     rows = []
     for trial in range(config.trials):
         try:
-            record = trial_fn(config, trial)
+            row, checks = trial_fn(config, trial)
+            row["pass"] = _passes(checks)
         except MetricLabError as exc:
-            record = TrialRecord(
-                trial=trial,
-                digest="",
-                epsilon=float("nan"),
-                achieved=float("nan"),
-                bound=float("nan"),
-                passed=False,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        rows.append(record.to_row())
+            row = {
+                "trial": trial,
+                "digest": "",
+                "epsilon": None,
+                "achieved": None,
+                "bound": None,
+                "pass": False,
+                "error": f"{type(exc).__name__}: {exc}",
+            }
+        rows.append(row)
     return rows
 
 
@@ -347,7 +335,7 @@ def _perturb_within_half(base: FiniteMetricSpace, rng) -> FiniteMetricSpace:
     return metric_closure(base.labels, raw)
 
 
-def _perturb_uniform_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
+def _perturb_uniform_trial(config: ExperimentConfig, trial: int):
     """Subset diameters and separations of the uniform base are all 1.
     Every pair is a subset, and adding points only raises a diameter or
     lowers a separation, so the extreme ratios over all subsets are the
@@ -359,42 +347,31 @@ def _perturb_uniform_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
     min_diam_ratio = perturbed.separation
     max_sep_ratio = perturbed.diameter
     achieved = sup_distance(perturbed, base)
-    passed = achieved < 0.5 and min_diam_ratio >= 0.5 and max_sep_ratio <= 2.0
-    return TrialRecord(
-        trial=trial,
-        digest=matrix_digest(perturbed),
-        epsilon=0.5,
-        achieved=achieved,
-        bound=0.5,
-        passed=bool(passed),
-        before={"diam_ratio_floor": 0.5, "sep_ratio_cap": 2.0},
-        after={
-            "min_diam_ratio": min_diam_ratio,
-            "max_sep_ratio": max_sep_ratio,
-        },
-    )
+    before = {"diam_ratio_floor": 0.5, "sep_ratio_cap": 2.0}
+    after = {"min_diam_ratio": min_diam_ratio, "max_sep_ratio": max_sep_ratio}
+    checks = [
+        ("distance", achieved, "<", 0.5),
+        ("min_diam_ratio", min_diam_ratio, ">=", 0.5),
+        ("max_sep_ratio", max_sep_ratio, "<=", 2.0),
+    ]
+    return _row(trial, perturbed, 0.5, achieved, 0.5, before, after), checks
 
 
-def _perturb_chain_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
+def _perturb_chain_trial(config: ExperimentConfig, trial: int):
     rng = trial_rng(config.seed, trial)
     n = config.n
     base = _progression_space(n)
     positions = np.arange(n, dtype=float) + rng.uniform(-0.24, 0.24, size=n)
     matrix = np.abs(positions[:, None] - positions[None, :])
     perturbed = validate(_point_labels(n), matrix, flavor=METRIC)
-    base_mod = ud_modulus(base).delta_star
-    pert_mod = ud_modulus(perturbed).delta_star
-    passed = sup_distance(perturbed, base) < 0.5 and pert_mod <= 4 * base_mod
-    return TrialRecord(
-        trial=trial,
-        digest=matrix_digest(perturbed),
-        epsilon=0.5,
-        achieved=float(pert_mod),
-        bound=float(4 * base_mod),
-        passed=bool(passed),
-        before={"delta_star": float(base_mod)},
-        after={"delta_star": float(pert_mod)},
-    )
+    base_mod = float(ud_modulus(base).delta_star)
+    pert_mod = float(ud_modulus(perturbed).delta_star)
+    before, after = {"delta_star": base_mod}, {"delta_star": pert_mod}
+    checks = [
+        ("distance", sup_distance(perturbed, base), "<", 0.5),
+        ("delta_star", pert_mod, "<=", 4 * base_mod),
+    ]
+    return _row(trial, perturbed, 0.5, pert_mod, 4 * base_mod, before, after), checks
 
 
 def grid_host(n: int, rng) -> FiniteMetricSpace:
@@ -515,10 +492,10 @@ def run_type_grid(config: ExperimentConfig) -> list[dict]:
             amalgam = amalgamate_metric(host, partition, pieces)
             measured = classify(amalgam, thresholds=config.thresholds)
             row["amalgam"] = "".join(str(b) for b in measured.bits)
-            row["sup_distance"] = sup_distance(amalgam, host)
+            distance = row["sup_distance"] = sup_distance(amalgam, host)
             row["epsilon"] = eps
-            row["pass"] = bool(
-                measured.bits == target and row["sup_distance"] <= 4 * eps
+            row["pass"] = _passes(
+                [("bits", measured.bits, "==", target), ("distance", distance, "<=", 4 * eps)]
             )
         except MetricLabError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
@@ -546,8 +523,8 @@ EXPERIMENTS = tuple(_KINDS)
 def run_experiment(config: ExperimentConfig) -> dict:
     """Collect the kind's rows and assemble the deterministic report."""
     rows = _KINDS[config.experiment][0](config)
-    passes = [bool(row["pass"]) for row in rows]
-    report = {
+    passes = [row["pass"] for row in rows]
+    return {
         "config": config.to_json(),
         "rows": rows,
         "summary": {
@@ -557,7 +534,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
             "all_pass": all(passes) if passes else False,
         },
     }
-    return report
 
 
 def _csv_cell(value) -> str:

@@ -53,6 +53,10 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Thresholds:
     """Classification thresholds (defaults are pinned by the test suite):
@@ -434,9 +438,9 @@ def doubling_constant(
         raise DegenerateSpace("doubling constant needs at least 2 points")
     if not (_is_number(beta) and 0 < beta < np.inf):
         raise ValueError("beta must be positive and finite")
-    if not isinstance(budget, numbers.Integral) or isinstance(budget, bool) or budget < 0:
+    if not _is_integer(budget) or budget < 0:
         raise ValueError("budget must be a nonnegative integer")
-    if not isinstance(rng, numbers.Integral) or isinstance(rng, bool):
+    if not _is_integer(rng):
         raise ValueError("rng must be an integer seed")
     m = space.matrix
     n = space.n

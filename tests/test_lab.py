@@ -1,4 +1,4 @@
-"""Experiment configs, random instances, trial records, and reports."""
+"""Experiment configs, random instances, trial rows, gates, and reports."""
 
 import csv
 import hashlib
@@ -15,7 +15,6 @@ from metriclab import (
     ExperimentConfig,
     RangeSet,
     Thresholds,
-    TrialRecord,
     diagnose,
     geometric_range_set,
     matrix_digest,
@@ -151,44 +150,7 @@ def test_config_stores_an_integral_epsilon_as_a_float():
 
 
 # ---------------------------------------------------------------------------
-# trial records and digests
-
-
-def test_trial_record_row_shape():
-    record = TrialRecord(
-        trial=4,
-        digest="ab" * 8,
-        epsilon=0.25,
-        achieved=0.5,
-        bound=1.0,
-        passed=True,
-        before={"c_star": 0.5},
-        after={"c_star": 0.25, "floor": 0.125},
-    )
-    row = record.to_row()
-    assert row["trial"] == 4
-    assert row["pass"] is True
-    assert row["error"] is None
-    assert row["before_c_star"] == 0.5
-    assert row["after_c_star"] == 0.25
-    assert row["after_floor"] == 0.125
-
-
-def test_trial_record_nan_becomes_none():
-    record = TrialRecord(
-        trial=0,
-        digest="",
-        epsilon=float("nan"),
-        achieved=float("nan"),
-        bound=float("nan"),
-        passed=False,
-        error="BadScaleCutoff: no window",
-    )
-    row = record.to_row()
-    assert row["epsilon"] is None
-    assert row["achieved"] is None
-    assert row["bound"] is None
-    assert row["error"].startswith("BadScaleCutoff")
+# digests and generators
 
 
 def test_matrix_digest_is_stable_and_short():
@@ -436,6 +398,63 @@ def test_perturb_chain_small_run():
         assert row["before_delta_star"] == 1.0 / 8.0
         assert row["bound"] == 4.0 / 8.0
         assert row["achieved"] <= row["bound"]
+
+
+# ---------------------------------------------------------------------------
+# gate audit
+
+# The kinds whose gate cannot fail on its own data today, each with the
+# ROADMAP item that mends it.  The marks are strict: a mended kind passes
+# the audit, its XPASS fails the run, and its mark has to go.
+VACUOUS_GATES = {
+    "dense_doubling": "item 1b: the output is the host, so its distance reads 1.1e-16",
+    "dense_ud": "item 1c: its delta_star > 0 check has bound 0",
+    "dense_up": "item 1a: c_star and the heredity floor are both 0",
+    "dense_ult_doubling": "item 4: the distance equals its bound, eps, in every row",
+    "dense_ult_up": "item 4: the distance equals its bound, eps, in every row",
+}
+# Both dense_ult_* kinds run the UD pipeline, so their rows also carry
+# dense_ud's delta_star > 0 check with bound 0.
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        pytest.param(
+            kind,
+            marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=VACUOUS_GATES[kind]),
+        )
+        if kind in VACUOUS_GATES
+        else kind
+        for kind in EXPERIMENTS
+        if kind != "type_grid"
+    ],
+)
+def test_every_gate_can_fail_on_its_own_data(kind):
+    """Each kind's trial function at its default config, seeds 0-2:
+    (a) every row passes; (b) no check has bound 0; (c) every check has a
+    row whose value lies farther than 1e-9 * |bound| from both its bound
+    and 0, so the check measures something rather than an identity.
+
+    The rules see the checks' values only.  The two perturb_* kinds pass
+    them, yet both gates hold by construction, which is beyond this
+    audit's reach: perturb_uniform's entries stay in (0.51, 1.49), and
+    perturb_chain's gaps stay in [0.52, 1.48], so its delta* is at most
+    1.48 / (n - 1.48) <= 4 / (n - 1) and its sup distance at most 0.48.
+    type_grid is not a trial function and stays outside the audit.
+    """
+    trial_fn = lab._KINDS[kind][0].args[0]
+    runs = [trial_fn(ExperimentConfig(kind, seed=seed), 0) for seed in range(3)]
+    assert all(lab._passes(checks) for _, checks in runs)
+    values = {}
+    for _, checks in runs:
+        for name, value, _, bound in checks:
+            assert bound != 0, (name, value)
+            values.setdefault(name, []).append((value, bound))
+    for name, pairs in values.items():
+        assert any(
+            min(abs(value - bound), abs(value)) > 1e-9 * abs(bound) for value, bound in pairs
+        ), (name, pairs)
 
 
 def test_a_library_error_becomes_a_failed_row(monkeypatch):

@@ -8,10 +8,12 @@ every value unchanged and permutes the bottleneck matrix; the sampled
 doubling search draws its subsets by index, so it is held to scaling
 only.  The bottleneck is a minimax over chains, so it commutes with any
 increasing map of the entries, squaring included, even where the
-squared matrix is no metric; a chain sum does not.
+squared matrix is no metric; a chain sum does not.  A snowflake d^alpha
+raises every ratio of entries to the power alpha, up to rounding.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -137,3 +139,40 @@ def test_bottleneck_commutes_with_squaring_the_entries(kind, n, seed):
     squared = _with_matrix(space, space.matrix * space.matrix)
     bottleneck = bottleneck_matrix(space)
     assert np.array_equal(bottleneck_matrix(squared), bottleneck * bottleneck)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75])
+@pytest.mark.parametrize("n", [12, 24, 48])
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_snowflake_raises_each_modulus_to_its_power(kind, n, alpha):
+    """d^alpha is a metric for 0 < alpha <= 1 (an ultrametric stays one),
+    and x -> x^alpha is increasing and turns a ratio r into r^alpha.  So
+    delta*(d^alpha) = delta*(d)^alpha with the same witness pair, c* of
+    d^alpha at r_min^alpha is c*(d)^alpha with the same witness point,
+    and the doubling constant of d^alpha at beta is that of d at
+    alpha * beta: the same subsets score the same, to rounding (the
+    sampled search draws its subsets by index).  Each power is rounded
+    on its own, so two subsets whose scores tie, or nearly tie, can swap
+    places, and the doubling witness may move to another subset of the
+    same score; only its value is compared."""
+
+    def close(a, b):
+        return abs(a - b) <= 2e-15 * abs(b)
+
+    for seed in range(3):
+        space = _host(kind, n, seed)
+        snow = _with_matrix(space, space.matrix**alpha)
+        ud, snow_ud = ud_modulus(space), ud_modulus(snow)
+        assert close(snow_ud.delta_star, ud.delta_star**alpha)
+        assert snow_ud.witness_pair == ud.witness_pair
+        r_min, snow_r_min = _up_cutoff(space), _up_cutoff(snow)
+        if r_min is not None:
+            assert close(snow_r_min, r_min**alpha)
+            up, snow_up = up_constant(space, r_min), up_constant(snow, snow_r_min)
+            assert close(snow_up.c_star, up.c_star**alpha)
+            assert snow_up.witness[0] == up.witness[0]
+        for beta in (1.0, 2.0):
+            assert close(
+                doubling_constant(snow, beta).constant,
+                doubling_constant(space, alpha * beta).constant,
+            )

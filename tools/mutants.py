@@ -36,6 +36,7 @@ class Mutant(NamedTuple):
 
 
 MODULI = "metriclab/moduli.py"
+LAB = "metriclab/lab.py"
 SAMPLED_ORACLE = "tests/test_moduli.py::test_doubling_sampled_matches_the_unpruned_search"
 UP_LOOP_ORACLE = "tests/test_moduli.py::test_up_constant_matches_the_point_loop_exactly"
 
@@ -292,6 +293,30 @@ MUTANTS = (
         "generator = np.random.default_rng(seed)",
         "generator = np.random.default_rng(seed + 1)",
         ("tests/test_moduli.py::test_doubling_sampled_report_is_pinned",),
+    ),
+    Mutant(
+        "a row passes when any check holds",
+        LAB,
+        "return all(_RELATIONS[relation](value, bound)",
+        "return any(_RELATIONS[relation](value, bound)",
+        ("tests/test_lab.py::test_perturb_uniform_check_fails_on_a_shrunk_pair",),
+    ),
+    Mutant(
+        "dense_up without its c_star check",
+        LAB,
+        'checks = [("c_star", report.c_star, ">=", report.bound)]',
+        "checks = []",
+        ("tests/test_lab.py::test_every_gate_can_fail_on_its_own_data[dense_up]",),
+    ),
+    Mutant(
+        "dense distance compared strictly",
+        LAB,
+        'checks.append(("distance", achieved, "<=", bound))',
+        'checks.append(("distance", achieved, "<", bound))',
+        (
+            "tests/test_lab.py::test_dense_reports_keep_their_bytes[dense_ult_doubling]",
+            "tests/test_lab.py::test_dense_reports_keep_their_bytes[dense_ult_up]",
+        ),
     ),
 )
 
