@@ -24,7 +24,7 @@ from scipy.spatial.distance import pdist, squareform
 from .cantor import _s_ladder_space, _string_depth, cantor_prefix_metric
 from .errors import DegenerateSpace, PieceMismatch, TooFewPoints
 from .moduli import UDReport, ud_modulus, up_report
-from .rangesets import RangeSet, geometric_range_set
+from .rangesets import RangeSet, _is_integer, geometric_range_set
 from .spaces import (
     ULTRAMETRIC,
     FiniteMetricSpace,
@@ -78,10 +78,10 @@ class ClopenPartition:
     @classmethod
     def from_json(cls, obj: dict) -> "ClopenPartition":
         try:
-            return cls(
-                tuple(tuple(int(i) for i in piece) for piece in obj["pieces"]),
-                tuple(int(b) for b in obj["basepoints"]),
-            )
+            indices = [*obj["basepoints"], *(i for piece in obj["pieces"] for i in piece)]
+            if not all(map(_is_integer, indices)):  # a float, bool or string is never coerced
+                raise TypeError("indices and basepoints must be integers")
+            return cls(obj["pieces"], obj["basepoints"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed partition object: {exc}") from exc
 
@@ -440,7 +440,18 @@ def approximate_ud(
     set S is given the host must be an S-valued ultrametric; the pieces
     take their rungs from S and the max form is used instead, moving d
     by at most eps in the range-set ultrametric distance.  The measured
-    disconnectedness modulus of the output ships with it.
+    disconnectedness modulus of the output ships with it, and it is at
+    least min(1/2, eps / (2 * diameter(output))).
+
+    Proof.  A later carving centre lies outside each earlier centre's
+    closed eps/2-ball, so every bridge d(p, q) exceeds eps/2; both glue
+    forms keep each cross-piece entry >= its bridge (max(a, m, b) >= m,
+    and fl(fl(a + b) + m) >= m for a, b >= 0, as rounding is monotone).
+    So every chain leaving a piece has a step > eps/2, and a cross-piece
+    pair's ratio exceeds eps/2 over the diameter.  A piece is a ladder,
+    an ultrametric with rungs <= eps: a chain inside it has a step >= its
+    pair's distance r <= eps, so a within-piece pair's ratio is >=
+    min(r, eps/2) / r >= 1/2.  Halving is exact and division monotone.
     """
     if d.n < 2:
         raise DegenerateSpace("approximate_ud needs at least 2 points")

@@ -52,14 +52,12 @@ from .jsontext import dumps
 from .moduli import (
     DEFAULT_THRESHOLDS,
     Thresholds,
-    _is_integer,
-    _is_number,
     classify,
     doubling_constant,
     ud_modulus,
     up_report,
 )
-from .rangesets import RangeSet, _element, geometric_range_set
+from .rangesets import RangeSet, _element, _is_integer, _is_number, geometric_range_set
 from .spaces import (
     METRIC,
     ULTRAMETRIC,
@@ -277,7 +275,8 @@ def _dense_trial(config: ExperimentConfig, trial: int):
     else:
         out, report = approximate_ud(host, eps, S=S)
         after = {"delta_star": report.delta_star}
-        checks = [("delta_star", report.delta_star, ">", 0.0)]
+        floor = min(0.5, eps / (2 * out.diameter))  # approximate_ud's proven floor
+        checks = [("delta_star", report.delta_star, ">=", floor)]
     if S is None:
         achieved, bound = float(sup_distance(out, host)), float(4 * scale)
     else:

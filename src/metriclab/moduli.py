@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.spatial.distance import squareform
 
 from .errors import BadScaleCutoff, DegenerateSpace
+from .rangesets import _is_integer, _is_number
 from .spaces import FiniteMetricSpace, _subdominant_ultrametric
 
 # Largest point count for which the doubling search enumerates all subsets.
@@ -46,15 +46,6 @@ _BLOCK_ENTRIES = 1 << 14
 
 # Draw tables (see :func:`_draw_subsets`) kept per process.
 _DRAW_CACHE_SIZE = 8
-
-
-def _is_number(value) -> bool:
-    """A real number that is not a bool (JSON true/false are not numbers)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

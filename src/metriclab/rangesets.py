@@ -17,6 +17,7 @@ questions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import WindowMiss
@@ -27,6 +28,22 @@ DOUBLE_EXPONENTIAL = "double_exponential"
 
 # Slack used when verifying a claimed envelope against float values.
 _ENVELOPE_RTOL = 1e-12
+
+
+def _is_number(value) -> bool:
+    """A real number that is not a bool (JSON true/false are not numbers)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _number(value) -> float:
+    """A file's number as a float: a bool or a string is never coerced."""
+    if not _is_number(value):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -304,13 +321,13 @@ def rangeset_from_json(obj: dict) -> RangeSet:
     try:
         kind = obj["kind"]
         if kind == EXPLICIT:
-            return RangeSet(EXPLICIT, values=tuple(float(v) for v in obj["values"]))
+            return RangeSet(EXPLICIT, values=tuple(_number(v) for v in obj["values"]))
         if kind == GEOMETRIC:
             return RangeSet(
-                GEOMETRIC, ratio=float(obj["ratio"]), scale=float(obj.get("scale", 1.0))
+                GEOMETRIC, ratio=_number(obj["ratio"]), scale=_number(obj.get("scale", 1.0))
             )
         if kind == DOUBLE_EXPONENTIAL:
-            return RangeSet(DOUBLE_EXPONENTIAL, base=float(obj["base"]))
+            return RangeSet(DOUBLE_EXPONENTIAL, base=_number(obj["base"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed range-set object: {exc}") from exc
     raise ValueError(f"unknown range-set kind {kind!r}")
@@ -325,10 +342,10 @@ def sequence_to_json(s: ShrinkingSequence) -> dict:
 
 def sequence_from_json(obj: dict) -> ShrinkingSequence:
     try:
-        values = tuple(float(v) for v in obj["values"])
+        values = tuple(_number(v) for v in obj["values"])
         envelope = obj.get("envelope")
         if envelope is not None:
-            envelope = (float(envelope["a"]), float(envelope["M"]))
+            envelope = (_number(envelope["a"]), _number(envelope["M"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed sequence object: {exc}") from exc
     return ShrinkingSequence(values, envelope)

@@ -528,9 +528,12 @@ def space_to_json(space: FiniteMetricSpace) -> dict:
 def space_from_json(obj: dict, tol: float = DEFAULT_TOL) -> FiniteMetricSpace:
     """Parse and re-validate a space from its JSON object form."""
     try:
-        labels = tuple(obj["labels"])
+        labels = obj["labels"]
         matrix = obj["matrix"]
         flavor = obj.get("flavor", METRIC)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed space object: {exc}") from exc
-    return validate(labels, np.asarray(matrix, dtype=float), flavor=flavor, tol=tol)
+    strings = isinstance(labels, list) and all(isinstance(label, str) for label in labels)
+    if not strings or len(set(labels)) < len(labels):
+        raise ValueError("malformed space object: labels must be a list of distinct strings")
+    return validate(tuple(labels), np.asarray(matrix, dtype=float), flavor=flavor, tol=tol)

@@ -451,6 +451,21 @@ def test_approximate_ud_metric_path():
             assert np.array_equal(out.matrix[np.ix_(piece, piece)], rebuilt.matrix)
 
 
+def _ud_floor(space, eps):
+    return min(0.5, eps / (2 * space.diameter))
+
+
+def test_approximate_ud_meets_its_floor_where_the_chain_host_does_not():
+    # 64 evenly spaced points: the host's delta* is one gap over the
+    # diameter, 1/63, while carving at eps/2 keeps every bridge > eps/2
+    host = _line_space(np.arange(64) / 63)
+    eps = 0.125
+    assert ud_modulus(host).delta_star < _ud_floor(host, eps)  # 0.0159 < 0.0625
+    out, report = approximate_ud(host, eps)
+    assert report.delta_star >= _ud_floor(out, eps)  # 0.0589 >= 0.0520
+    assert report.delta_star < 0.5  # the cross-piece term binds
+
+
 def test_approximate_ud_rangeset_path():
     rng = trial_rng(65, 0)
     S = geometric_range_set(0.5)

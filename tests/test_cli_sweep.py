@@ -236,3 +236,58 @@ def test_every_row_ends_in_strict_json_or_a_clean_error(command, files, capsys, 
             problems[" ".join(argv)] = problem
     report = [f"{len(problems)} of {len(rows)} rows:"]
     assert not problems, "\n".join(report + [f"{argv}: {why}" for argv, why in problems.items()])
+
+
+def _two_points(labels, **extra):
+    return {"labels": labels, "matrix": [[0.0, 1.0], [1.0, 0.0]], **extra}
+
+
+def _partition(pieces=([0, 1], [2, 3]), basepoints=(0, 2)):
+    return {"pieces": list(pieces), "basepoints": list(basepoints)}
+
+
+# name -> (reader, file, exit code).  Each malformed value was once read
+# by coercion and exits 1 now; the last three rows are the rules kept.
+INPUTS = {
+    "labels a string": ("space", _two_points("ab"), 1),
+    "labels numbers": ("space", _two_points([1, 2]), 1),
+    "labels repeated": ("space", _two_points(["a", "a"]), 1),
+    "index a float": ("partition", _partition(pieces=([0, 1.7], [2, 3])), 1),
+    "index a bool": ("partition", _partition(pieces=([0, True], [2, 3])), 1),
+    "index a string": ("partition", _partition(pieces=([0, "1"], [2, 3])), 1),
+    "basepoint a float": ("partition", _partition(basepoints=(1.7, 2)), 1),
+    "basepoint a bool": ("partition", _partition(basepoints=(True, 2)), 1),
+    "basepoint a string": ("partition", _partition(basepoints=("1", 2)), 1),
+    "scale a bool": ("rangeset", {"kind": "geometric", "ratio": 0.5, "scale": True}, 1),
+    "ratio a string": ("rangeset", {"kind": "geometric", "ratio": "0.5"}, 1),
+    "explicit value a bool": ("rangeset", {"kind": "explicit", "values": [0.0, 0.5, True]}, 1),
+    "sequence value a bool": ("sequence", {"values": [True, 0.5, 0.25]}, 1),
+    "envelope a bool": ("sequence", {"values": [1.0, 0.5], "envelope": {"a": 0.5, "M": True}}, 1),
+    "no flavor reads as metric": ("space", _two_points(["a", "b"]), 0),
+    "unknown keys are ignored": ("space", _two_points(["a", "b"], note="x", flavor="metric"), 0),
+    "bool entries read as 1.0 and 0.0": (
+        "space",
+        {"labels": ["a", "b"], "matrix": [[False, True], [True, False]]},
+        0,
+    ),
+}
+
+
+def _input_argv(reader, path, f):
+    return {
+        "space": ["validate", path],
+        "partition": ["amalgamate", f["host3"], path, f["left3"], f["right3"]],
+        "rangeset": ["rangeset", "check", path, "--a=0.5", "--m=2", "--n=1"],
+        "sequence": ["cantor", "gen", f"--sequence={path}", "--depth=2"],
+    }[reader]
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_every_input_rule_holds(name, files, tmp_path, capsys):
+    reader, obj, code = INPUTS[name]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    out = tmp_path / "out.json"
+    assert cli.main([*_input_argv(reader, str(path), files), f"--out={out}"]) == code
+    assert out.exists() == (code == 0)
+    assert capsys.readouterr().err.startswith("error:") == (code == 1)

@@ -1,8 +1,10 @@
 """The JSON writer against the indenting encoder whose bytes it keeps."""
 
+import gc
 import json
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -143,3 +145,37 @@ def test_dumps_refuses_every_non_finite_float(bad):
     for value in (bad, [1.0, bad], {bad: 1}, {"k": np.array([[0.0, bad], [bad, 0.0]])}):
         with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
             dumps(value)
+
+
+def test_dumps_splices_matrices_at_every_depth():
+    # depth 0 to 3: the top level, a dict value, a list element, a dict in a list
+    a = np.array([[0.0, 1.5], [1.5, 0.0]])
+    b = np.array([[2.0, -0.0, 5e-324]])
+    assert dumps(a) == _reference(a.tolist())
+    payload = {
+        "a": a,
+        "empty": {"list": [], "dict": {}},
+        "list": [b, "text", [], {}, {"in": b}, [{"deep": a, "name": "x"}]],
+        "z": "after",
+    }
+    expected = {
+        "a": a.tolist(),
+        "empty": {"list": [], "dict": {}},
+        "list": [b.tolist(), "text", [], {}, {"in": b.tolist()}, [{"deep": a.tolist(), "name": "x"}]],
+        "z": "after",
+    }
+    assert dumps(payload) == _reference(expected)
+
+
+def test_dumps_keeps_no_array_alive():
+    # json's encoder holds its `default` in a reference cycle; with gc off
+    # only the writer's own release frees the array
+    array = np.ones((3, 3))
+    ref = weakref.ref(array)
+    gc.disable()
+    try:
+        dumps({"m": array})
+        del array
+        assert ref() is None
+    finally:
+        gc.enable()

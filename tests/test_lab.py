@@ -408,13 +408,13 @@ def test_perturb_chain_small_run():
 # the audit, its XPASS fails the run, and its mark has to go.
 VACUOUS_GATES = {
     "dense_doubling": "item 1b: the output is the host, so its distance reads 1.1e-16",
-    "dense_ud": "item 1c: its delta_star > 0 check has bound 0",
     "dense_up": "item 1a: c_star and the heredity floor are both 0",
     "dense_ult_doubling": "item 4: the distance equals its bound, eps, in every row",
     "dense_ult_up": "item 4: the distance equals its bound, eps, in every row",
 }
 # Both dense_ult_* kinds run the UD pipeline, so their rows also carry
-# dense_ud's delta_star > 0 check with bound 0.
+# dense_ud's delta_star floor check, which they pass: only their distance
+# check keeps them marked.
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,10 @@
 Every modulus is a ratio of matrix entries, or a chain cost read off the
 entries, so scaling the metric by a power of two (an exact float
 operation at these scales) leaves each ratio and witness bit-equal and
-scales each length by the same power.  Relabelling the points leaves
+scales each length by the same power.  The three pipelines read only
+such ratios and lengths, and halve, sum and take maxima of entries, so
+scaling a host and eps by a power of two scales each output exactly.
+Relabelling the points leaves
 every value unchanged and permutes the bottleneck matrix; the sampled
 doubling search draws its subsets by index, so it is held to scaling
 only.  The bottleneck is a minimax over chains, so it commutes with any
@@ -19,6 +22,9 @@ from hypothesis import strategies as st
 
 from metriclab import (
     FiniteMetricSpace,
+    approximate_doubling,
+    approximate_ud,
+    approximate_up,
     bottleneck_matrix,
     doubling_constant,
     geometric_range_set,
@@ -176,3 +182,41 @@ def test_the_snowflake_raises_each_modulus_to_its_power(kind, n, alpha):
                 doubling_constant(snow, beta).constant,
                 doubling_constant(space, alpha * beta).constant,
             )
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["closure", "points_linf"])
+def test_the_pipelines_commute_with_a_power_of_two(kind, seed):
+    # outputs bit-equal to 2^k times the originals; delta*, c* and the UP
+    # floor unchanged; eps_effective and the coordinates scaled by 2^k
+    host = _host(kind, 48, seed)
+    eps = host.diameter / 8
+    ud_out, ud = approximate_ud(host, eps)
+    up_out, up = approximate_up(host, eps)
+    doubling_out, embedding = approximate_doubling(host, eps)
+    for k in (-40, 40):
+        scale = 2.0**k
+        scaled = _with_matrix(host, host.matrix * scale)
+        out, report = approximate_ud(scaled, eps * scale)
+        assert np.array_equal(out.matrix, ud_out.matrix * scale)
+        assert report.delta_star == ud.delta_star
+        out, report = approximate_up(scaled, eps * scale)
+        assert np.array_equal(out.matrix, up_out.matrix * scale)
+        assert (report.c_star, report.bound) == (up.c_star, up.bound)
+        assert report.eps_effective == up.eps_effective * scale
+        out, scaled_embedding = approximate_doubling(scaled, eps * scale)
+        assert np.array_equal(out.matrix, doubling_out.matrix * scale)
+        assert np.array_equal(scaled_embedding.coordinates, embedding.coordinates * scale)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_s_valued_ud_branch_commutes_with_a_power_of_two(seed):
+    # S scales with the host: geometric_range_set(0.5, 2^k)
+    host = _host("s_ultrametric", 48, seed)
+    ud_out, ud = approximate_ud(host, 0.125, S=geometric_range_set(0.5))
+    for k in (-40, 40):
+        scale = 2.0**k
+        scaled = _with_matrix(host, host.matrix * scale)
+        out, report = approximate_ud(scaled, 0.125 * scale, S=geometric_range_set(0.5, scale))
+        assert np.array_equal(out.matrix, ud_out.matrix * scale)
+        assert report.delta_star == ud.delta_star

@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 
 MODULI = "metriclab/moduli.py"
 LAB = "metriclab/lab.py"
+JSONTEXT = "metriclab/jsontext.py"
 SAMPLED_ORACLE = "tests/test_moduli.py::test_doubling_sampled_matches_the_unpruned_search"
 UP_LOOP_ORACLE = "tests/test_moduli.py::test_up_constant_matches_the_point_loop_exactly"
 
@@ -213,13 +214,54 @@ MUTANTS = (
     ),
     Mutant(
         "the writer lets NaN and Infinity through",
-        "metriclab/jsontext.py",
-        "return json.dumps(value, allow_nan=False)",
-        "return json.dumps(value)",
+        JSONTEXT,
+        "indent=2, allow_nan=False, default=default)",
+        "indent=2, default=default)",
         (
             "tests/test_jsontext.py::test_dumps_refuses_every_non_finite_float",
             "tests/test_cli.py::test_a_non_finite_output_is_a_clean_error_and_writes_nothing",
         ),
+    ),
+    Mutant(
+        "the matrix path lets NaN and Infinity through",
+        JSONTEXT,
+        "json.dumps(distinct.view(np.float64).tolist(), allow_nan=False)",
+        "json.dumps(distinct.view(np.float64).tolist())",
+        (
+            "tests/test_jsontext.py::test_dumps_refuses_every_non_finite_float",
+            "tests/test_jsontext.py::test_dumps_writes_a_float_array_as_its_list",
+        ),
+    ),
+    Mutant(
+        "matrices spliced one level too deep",
+        JSONTEXT,
+        '(len(line) - len(line.lstrip(" "))) // 2',
+        '(len(line) - len(line.lstrip(" "))) // 2 + 1',
+        ("tests/test_jsontext.py::test_dumps_splices_matrices_at_every_depth",),
+    ),
+    Mutant(
+        "the writer keeps its arrays until a gc pass",
+        JSONTEXT,
+        "    matrices.clear()\n",
+        "",
+        ("tests/test_jsontext.py::test_dumps_keeps_no_array_alive",),
+    ),
+    Mutant(
+        "pieces carved at radius eps / 128",
+        "metriclab/build.py",
+        "ball = remaining & (space.matrix[center] <= eps / 2)",
+        "ball = remaining & (space.matrix[center] <= eps / 128)",
+        (
+            "tests/test_build.py::"
+            "test_approximate_ud_meets_its_floor_where_the_chain_host_does_not",
+        ),
+    ),
+    Mutant(
+        "partition indices coerced",
+        "metriclab/build.py",
+        "if not all(map(_is_integer, indices)):",
+        "if False:",
+        ("tests/test_cli_sweep.py::test_every_input_rule_holds",),
     ),
     Mutant(
         "least-element bisect keeps x on the high side",
