@@ -8,6 +8,8 @@ combination of those properties.  A seeded experiment driver and a CLI
 sit on top.
 """
 
+import types
+
 from .build import (
     ClopenPartition,
     Embedding,
@@ -106,86 +108,9 @@ from .spaces import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymmetricMatrix",
-    "BadScaleCutoff",
-    "BinaryPointSet",
-    "ClopenPartition",
-    "DEFAULT_THRESHOLDS",
-    "DEFAULT_TOL",
-    "DegenerateSpace",
-    "DoublingReport",
-    "Embedding",
-    "ExperimentConfig",
-    "FiniteMetricSpace",
-    "GenerationFailed",
-    "LabelMismatch",
-    "METRIC",
-    "MetricLabError",
-    "NonpositiveOffDiagonal",
-    "NonzeroDiagonal",
-    "NotUltrametric",
-    "PieceMismatch",
-    "RangeSet",
-    "SeparationUndefined",
-    "SequenceTooShort",
-    "ShrinkingSequence",
-    "StrongTriangleViolation",
-    "Thresholds",
-    "TooFewPoints",
-    "TriangleViolation",
-    "TypeVector",
-    "UDReport",
-    "ULTRAMETRIC",
-    "UPApproximation",
-    "UPReport",
-    "ValidationError",
-    "ValueOutsideRangeSet",
-    "WindowCheck",
-    "WindowMiss",
-    "ZeroOffDiagonal",
-    "amalgamate_metric",
-    "amalgamate_ultrametric",
-    "approximate_doubling",
-    "approximate_ud",
-    "approximate_up",
-    "bottleneck_matrix",
-    "cantor_prefix_metric",
-    "carve_pieces",
-    "classify",
-    "contains",
-    "diagnose",
-    "double_exponential_range_set",
-    "doubling_constant",
-    "exponential_sequence",
-    "generate_type",
-    "geometric_prefix_ultrametric",
-    "geometric_range_set",
-    "greatest_leq",
-    "greedy_net",
-    "is_exponential_window",
-    "ladder",
-    "least_geq",
-    "matrix_digest",
-    "merge_singletons",
-    "metric_closure",
-    "pairwise_linf",
-    "random_s_ultrametric",
-    "random_space",
-    "rangeset_from_json",
-    "realized_envelope",
-    "render_report",
-    "run_experiment",
-    "sequence_from_json",
-    "sequence_to_json",
-    "sequential_metric",
-    "space_from_json",
-    "space_to_json",
-    "sup_distance",
-    "trial_rng",
-    "ud_modulus",
-    "ultra_distance",
-    "up_constant",
-    "up_obstruction",
-    "validate",
-]
+# every public, non-module name bound above
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -216,14 +216,22 @@ def _point_labels(n: int) -> tuple[str, ...]:
     return tuple(f"p{k:0{width}d}" for k in range(n))
 
 
+def _blow_up(base, sizes, gap: float) -> np.ndarray:
+    """Point k of the base metric blown up into a block of sizes[k]
+    points, pairwise `gap` apart and base[k, l] from each point of block
+    l.  Every entry is a copy of a base entry, of `gap`, or 0."""
+    matrix = np.repeat(np.repeat(base, sizes, axis=0), sizes, axis=1)
+    bounds = np.cumsum([0, *sizes])
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        matrix[lo:hi, lo:hi] = gap
+    np.fill_diagonal(matrix, 0.0)
+    return matrix
+
+
 def _two_cluster_matrix(n: int, inner: float) -> np.ndarray:
     """Two uniform clusters (sizes ~n/2 + 8 and the rest) at mutual distance 1."""
     big = min(n // 2 + 8, n - 2)
-    matrix = np.full((n, n), 1.0)
-    matrix[:big, :big] = inner
-    matrix[big:, big:] = inner
-    np.fill_diagonal(matrix, 0.0)
-    return matrix
+    return _blow_up(np.array([[0.0, 1.0], [1.0, 0.0]]), (big, n - big), inner)
 
 
 def _ring_matrix(n: int, step: float) -> np.ndarray:
@@ -261,14 +269,8 @@ def _fat_ring_matrix(n: int, block_gap_steps: float) -> np.ndarray:
             f"fat-ring recipe needs >= {stations - 1 + 34} points, got {n}"
         )
     h = 2.0 / stations
-    ring = _ring_matrix(stations, h)  # station 0 is the block's anchor
-    matrix = np.zeros((n, n))
-    matrix[:block, :block] = block_gap_steps * h
-    matrix[:block, block:] = ring[0, 1:][None, :]
-    matrix[block:, :block] = ring[1:, 0][:, None]
-    matrix[block:, block:] = ring[1:, 1:]
-    np.fill_diagonal(matrix, 0.0)
-    return matrix
+    sizes = (block,) + (1,) * (stations - 1)
+    return _blow_up(_ring_matrix(stations, h), sizes, block_gap_steps * h)
 
 
 def _build_recipe(bits: tuple[int, int, int], depth: int):

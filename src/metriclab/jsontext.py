@@ -5,12 +5,15 @@
 and raises `ValueError` on NaN or Infinity, as that call does.  `obj` may
 also hold 2-D float64 ndarrays with at least one entry, each written as
 its ``.tolist()`` would be; any other ndarray raises `TypeError`, as in
-`json`.  That one call writes the document, with each matrix as a
-per-call token no input string can equal; the module writes only the
-matrices, spliced in at their tokens.  ``indent`` sends `json` down its
-pure-Python encoder, which formats every float on its own, while an
-ultrametric on n points has at most n - 1 distinct nonzero distances: a
-matrix formats each distinct value once, with one call to the C encoder.
+`json`.  A document that contains itself raises `RecursionError`: json's
+cycle check is off, since on a raise it keeps the open containers, and
+their arrays, alive until a gc pass.  That one call writes the document,
+with each matrix as a per-call token no input string can equal; the
+module writes only the matrices, spliced in at their tokens.  ``indent``
+sends `json` down its pure-Python encoder, which formats every float on
+its own, while an ultrametric on n points has at most n - 1 distinct
+nonzero distances: a matrix formats each distinct value once, with one
+call to the C encoder.
 """
 
 from __future__ import annotations
@@ -34,17 +37,21 @@ def dumps(obj) -> str:
         matrices.append(value)
         return token
 
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=default)
-    parts = text.split(f'"{token}"')
-    out = [parts[0]]
-    for matrix, part in zip(matrices, parts[1:]):
-        line = out[-1][out[-1].rfind("\n") + 1 :]  # the token's line, up to the token
-        _write_float_matrix(matrix, (len(line) - len(line.lstrip(" "))) // 2, out)
-        out.append(part)
+    try:
+        text = json.dumps(
+            obj, sort_keys=True, indent=2, allow_nan=False, check_circular=False, default=default
+        )
+        parts = text.split(f'"{token}"')
+        out = [parts[0]]
+        for matrix, part in zip(matrices, parts[1:]):
+            line = out[-1][out[-1].rfind("\n") + 1 :]  # the token's line, up to the token
+            _write_float_matrix(matrix, (len(line) - len(line.lstrip(" "))) // 2, out)
+            out.append(part)
+    finally:
+        # json's encoder functions form a reference cycle that holds `default`:
+        # on success or on a raise, the arrays would outlive the call until a gc pass
+        matrices.clear()
     out.append("\n")
-    # json's encoder functions form a reference cycle that holds `default`,
-    # so the arrays would otherwise outlive this call until a gc pass.
-    matrices.clear()
     return "".join(out)
 
 

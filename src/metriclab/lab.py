@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
 import operator
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
@@ -38,6 +39,7 @@ from .build import (
     carve_pieces,
 )
 from .cantor import (
+    _blow_up,
     _gapped_rungs,
     _ladder_space,
     _point_labels,
@@ -103,8 +105,8 @@ class ExperimentConfig:
         object.__setattr__(self, "epsilon", float(self.epsilon))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if self.epsilon_mode not in ("fraction", "absolute"):
             raise ValueError("epsilon_mode must be 'fraction' or 'absolute'")
         if self.format not in ("json", "csv"):
@@ -196,19 +198,6 @@ def _absolute_epsilon(config: ExperimentConfig, space: FiniteMetricSpace) -> flo
     return config.epsilon * space.diameter
 
 
-# Per dense experiment: the host sampler and the modulus recorded on the
-# host and on the output.  S-valued hosts ("s_ultrametric") are measured
-# in the ultrametric distance over S with bound eps, the others in the
-# sup distance with bound 4 * eps.
-_DENSE_KINDS = {
-    "dense_doubling": ("closure", "doubling"),
-    "dense_ud": ("points_linf", "delta_star"),
-    "dense_up": ("points_linf", "c_star"),
-    "dense_ult_doubling": ("s_ultrametric", "doubling"),
-    "dense_ult_up": ("s_ultrametric", "c_star"),
-}
-
-
 def _modulus(name: str, space: FiniteMetricSpace, thresholds: Thresholds) -> float:
     if name == "doubling":
         return doubling_constant(space, thresholds.beta0, budget=_RECORD_BUDGET).constant
@@ -247,9 +236,13 @@ def _row(trial, space, eps, achieved, bound, before, after) -> dict:
     return row
 
 
-def _dense_trial(config: ExperimentConfig, trial: int):
+def _dense_trial(sampler: str, modulus: str, config: ExperimentConfig, trial: int):
+    """One dense trial: draw a host from `sampler` (a random_space mode,
+    or "s_ultrametric"), run the experiment's pipeline on it, and record
+    `modulus` on the host and on the output.  S-valued hosts are measured
+    in the ultrametric distance over S with bound eps, the others in the
+    sup distance with bound 4 * eps."""
     rng = trial_rng(config.seed, trial)
-    sampler, modulus = _DENSE_KINDS[config.experiment]
     S = geometric_range_set(0.5) if sampler == "s_ultrametric" else None
     if S is None:
         host = random_space(sampler, config.n, rng)
@@ -404,18 +397,10 @@ def _fat_piece_matrix(count: int, diameter: float, gap: float) -> np.ndarray:
     sizes.append(count - sum(sizes))
     if sizes[-1] < 1:
         raise GenerationFailed(f"fat piece needs more than {count} points")
-    bounds = np.cumsum([0] + sizes)
-    matrix = np.full((count, count), diameter)
-    mid = diameter / 8
-    # groups: blocks (0, 1) and blocks (2, 3) meet at the middle level
-    for lo, hi in ((0, 2), (2, 4)):
-        span = slice(bounds[lo], bounds[hi])
-        matrix[span, span] = mid
-    for k in range(4):
-        span = slice(bounds[k], bounds[k + 1])
-        matrix[span, span] = gap
-    np.fill_diagonal(matrix, 0.0)
-    return matrix
+    # the base: blocks (0, 1) and blocks (2, 3) meet at the middle level
+    base = np.full((4, 4), diameter)
+    base[:2, :2] = base[2:, 2:] = diameter / 8
+    return _blow_up(base, sizes, gap)
 
 
 def _grid_piece(style: str, labels, eps: float) -> FiniteMetricSpace:
@@ -502,16 +487,19 @@ def run_type_grid(config: ExperimentConfig) -> list[dict]:
     return rows
 
 
+def _dense(sampler: str, modulus: str):
+    return partial(_run_trials, partial(_dense_trial, sampler, modulus))
+
+
 # Per experiment kind: the function from config to report rows, the
 # config field that sizes the run, that field's default and its least
 # value.  A perfectness host needs two pieces of at least two points.
-_dense_rows = partial(_run_trials, _dense_trial)
 _KINDS = {
-    "dense_doubling": (_dense_rows, "n", 64, 2),
-    "dense_ud": (_dense_rows, "n", 64, 2),
-    "dense_up": (_dense_rows, "n", 64, 3),
-    "dense_ult_doubling": (_dense_rows, "n", 64, 2),
-    "dense_ult_up": (_dense_rows, "n", 64, 2),
+    "dense_doubling": (_dense("closure", "doubling"), "n", 64, 2),
+    "dense_ud": (_dense("points_linf", "delta_star"), "n", 64, 2),
+    "dense_up": (_dense("points_linf", "c_star"), "n", 64, 3),
+    "dense_ult_doubling": (_dense("s_ultrametric", "doubling"), "n", 64, 2),
+    "dense_ult_up": (_dense("s_ultrametric", "c_star"), "n", 64, 2),
     "perturb_uniform": (partial(_run_trials, _perturb_uniform_trial), "n", 32, 2),
     "perturb_chain": (partial(_run_trials, _perturb_chain_trial), "n", 33, 2),
     "type_grid": (run_type_grid, "depth", 7, 6),

@@ -61,6 +61,9 @@ class RangeSet:
             if not self.values:
                 raise ValueError("explicit range set needs values")
             vals = tuple(float(v) for v in self.values)
+            # NaN compares false, so the order test below cannot see it
+            if not all(map(math.isfinite, vals)):
+                raise ValueError("explicit values must be finite")
             if sorted(set(vals)) != list(vals):
                 raise ValueError("explicit values must be sorted and distinct")
             if vals[0] != 0.0:
@@ -70,8 +73,8 @@ class RangeSet:
             if self.ratio is None or not 0 < self.ratio < 1:
                 raise ValueError("geometric ratio must lie in (0, 1)")
             scale = 1.0 if self.scale is None else float(self.scale)
-            if not scale > 0:
-                raise ValueError("geometric scale must be positive")
+            if not 0 < scale < math.inf:
+                raise ValueError("geometric scale must be positive and finite")
             object.__setattr__(self, "scale", scale)
         elif self.kind == DOUBLE_EXPONENTIAL:
             if self.base is None or not 0 < self.base < 1:
@@ -164,8 +167,8 @@ class ShrinkingSequence:
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise ValueError("a shrinking sequence needs at least one value")
-        if any(v <= 0 for v in vals):
-            raise ValueError("sequence values must be positive")
+        if not all(0 < v < math.inf for v in vals):
+            raise ValueError("sequence values must be positive and finite")
         if any(b >= a for a, b in zip(vals, vals[1:])):
             raise ValueError("sequence values must be strictly decreasing")
         object.__setattr__(self, "values", vals)
@@ -173,8 +176,8 @@ class ShrinkingSequence:
             a, big_m = (float(v) for v in self.envelope)
             if not 0 < a < 1:
                 raise ValueError("envelope ratio a must lie in (0, 1)")
-            if big_m < 1:
-                raise ValueError("envelope constant M must be >= 1")
+            if not 1 <= big_m < math.inf:
+                raise ValueError("envelope constant M must be finite and >= 1")
             for k, v in enumerate(vals):
                 lo = a**k / big_m
                 hi = big_m * a**k
@@ -217,8 +220,8 @@ def is_exponential_window(S: RangeSet, a: float, big_m: float, n_max: int) -> Wi
     """Does [a**n / M, M * a**n] intersect S for every n <= n_max?"""
     if not 0 < a < 1:
         raise ValueError("a must lie in (0, 1)")
-    if big_m < 1:
-        raise ValueError("M must be >= 1")
+    if not 1 <= big_m < math.inf:
+        raise ValueError("M must be finite and >= 1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     witnesses = []
@@ -244,8 +247,8 @@ def exponential_sequence(S: RangeSet, b: float, big_m: float, length: int) -> Sh
     """
     if not 0 < b < 1:
         raise ValueError("b must lie in (0, 1)")
-    if big_m < 1:
-        raise ValueError("M must be >= 1")
+    if not 1 <= big_m < math.inf:
+        raise ValueError("M must be finite and >= 1")
     if length < 1:
         raise ValueError("length must be >= 1")
     check = is_exponential_window(S, b, big_m, max(length, 1))

@@ -1,6 +1,7 @@
 """Binary-string spaces, middle-third metrics, and the type generator."""
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -273,6 +274,42 @@ def test_binary_string_spaces_keep_their_bytes():
             digest.update(f"{out.flavor} {out.labels!r}".encode())
         digest.update(matrix.tobytes())
     assert digest.hexdigest() == BINARY_STRING_DIGEST
+
+
+# sha256 over cantor._build_recipe's flavor, name and matrix bytes (or its
+# error text) for all eight bit vectors at depths 4-8, recorded before the
+# cluster recipes were built from one blow-up.
+RECIPE_DIGEST = "cd72e14a490ac9ef6440246e7aa3ac28c158a033d2244d06f3e08f480fe75d72"
+
+
+def test_type_recipes_keep_their_bytes():
+    digest = hashlib.sha256()
+    for bits in itertools.product((0, 1), repeat=3):
+        for depth in range(4, 9):
+            try:
+                matrix, flavor, name = cantor._build_recipe(bits, depth)
+            except GenerationFailed as exc:  # the fat ring below 81 points
+                digest.update(f"{type(exc).__name__}: {exc}".encode())
+                continue
+            digest.update(f"{flavor} {name}".encode())
+            digest.update(matrix.tobytes())
+    assert digest.hexdigest() == RECIPE_DIGEST
+
+
+def test_blow_up_repeats_the_base_and_fills_each_block_with_the_gap():
+    base = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+    g = 0.25
+    expected = np.array(
+        [
+            [0.0, g, 1.0, 2.0, 2.0, 2.0],
+            [g, 0.0, 1.0, 2.0, 2.0, 2.0],
+            [1.0, 1.0, 0.0, 3.0, 3.0, 3.0],
+            [2.0, 2.0, 3.0, 0.0, g, g],
+            [2.0, 2.0, 3.0, g, 0.0, g],
+            [2.0, 2.0, 3.0, g, g, 0.0],
+        ]
+    )
+    assert np.array_equal(cantor._blow_up(base, (2, 1, 3), g), expected)
 
 
 # ---------------------------------------------------------------------------

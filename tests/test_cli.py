@@ -375,6 +375,17 @@ def test_rangeset_check_fails_with_first_window(tmp_path, capsys):
     assert payload["first_fail"] == 1
 
 
+@pytest.mark.parametrize("m", ["nan", "inf"])
+def test_rangeset_check_rejects_a_non_finite_m(tmp_path, capsys, m):
+    # both once exited 0: NaN passed every window with witnesses 1.0, and
+    # inf with witnesses 0.0
+    S = _write(tmp_path, "S.json", GEOMETRIC_S)
+    assert main(["rangeset", "check", S, "--a", "0.5", f"--m={m}", "--n", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: M must be finite and >= 1\n"
+
+
 def test_rangeset_sequence_extracts_envelope(tmp_path, capsys):
     S = _write(tmp_path, "S.json", GEOMETRIC_S)
     assert main(

@@ -247,7 +247,8 @@ def _partition(pieces=([0, 1], [2, 3]), basepoints=(0, 2)):
 
 
 # name -> (reader, file, exit code).  Each malformed value was once read
-# by coercion and exits 1 now; the last three rows are the rules kept.
+# by coercion and exits 1 now; the three rows that exit 0 are the rules
+# kept.
 INPUTS = {
     "labels a string": ("space", _two_points("ab"), 1),
     "labels numbers": ("space", _two_points([1, 2]), 1),
@@ -271,6 +272,47 @@ INPUTS = {
         0,
     ),
 }
+NAN, INF = float("nan"), float("inf")
+# name -> (reader, file, error text) for non-finite numbers in a file.
+# The first three exited 0; the rest exited 1 with another error.
+NON_FINITE = {
+    "explicit value Infinity": (
+        "rangeset",
+        {"kind": "explicit", "values": [0, 1, INF]},
+        "explicit values must be finite",
+    ),
+    "envelope M NaN": (
+        "sequence",
+        {"values": [1.0, 0.5], "envelope": {"a": 0.5, "M": NAN}},
+        "envelope constant M must be finite and >= 1",
+    ),
+    "envelope M Infinity": (
+        "sequence",
+        {"values": [1.0, 0.5], "envelope": {"a": 0.5, "M": INF}},
+        "envelope constant M must be finite and >= 1",
+    ),
+    "explicit value NaN": (
+        "rangeset",
+        {"kind": "explicit", "values": [0, NAN, 1]},
+        "explicit values must be finite",
+    ),
+    "scale Infinity": (
+        "rangeset",
+        {"kind": "geometric", "ratio": 0.5, "scale": INF},
+        "geometric scale must be positive and finite",
+    ),
+    "sequence value Infinity": (
+        "sequence",
+        {"values": [INF, 1.0]},
+        "sequence values must be positive and finite",
+    ),
+    "epsilon Infinity": (
+        "config",
+        {"experiment": "perturb_chain", "epsilon": INF},
+        "epsilon must be positive and finite",
+    ),
+}
+INPUTS.update((name, (reader, obj, 1)) for name, (reader, obj, _) in NON_FINITE.items())
 
 
 def _input_argv(reader, path, f):
@@ -279,6 +321,7 @@ def _input_argv(reader, path, f):
         "partition": ["amalgamate", f["host3"], path, f["left3"], f["right3"]],
         "rangeset": ["rangeset", "check", path, "--a=0.5", "--m=2", "--n=1"],
         "sequence": ["cantor", "gen", f"--sequence={path}", "--depth=2"],
+        "config": ["experiment", path],
     }[reader]
 
 
@@ -290,4 +333,7 @@ def test_every_input_rule_holds(name, files, tmp_path, capsys):
     out = tmp_path / "out.json"
     assert cli.main([*_input_argv(reader, str(path), files), f"--out={out}"]) == code
     assert out.exists() == (code == 0)
-    assert capsys.readouterr().err.startswith("error:") == (code == 1)
+    err = capsys.readouterr().err
+    assert err.startswith("error:") == (code == 1)
+    if name in NON_FINITE:
+        assert err == f"error: {NON_FINITE[name][2]}\n"

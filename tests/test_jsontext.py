@@ -167,15 +167,32 @@ def test_dumps_splices_matrices_at_every_depth():
     assert dumps(payload) == _reference(expected)
 
 
-def test_dumps_keeps_no_array_alive():
+@pytest.mark.parametrize(
+    "extra, error",
+    [(None, None), (math.nan, ValueError), (object(), TypeError)],
+    ids=["written", "nan", "object"],
+)
+def test_dumps_keeps_no_array_alive(extra, error):
     # json's encoder holds its `default` in a reference cycle; with gc off
-    # only the writer's own release frees the array
+    # only the writer's own release frees the array, whether it writes
+    # the document or raises after recording the array
     array = np.ones((3, 3))
     ref = weakref.ref(array)
     gc.disable()
     try:
-        dumps({"m": array})
+        if error is None:
+            dumps({"m": array, "z": extra})
+        else:
+            with pytest.raises(error):
+                dumps({"m": array, "z": extra})
         del array
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_dumps_raises_on_a_document_that_contains_itself():
+    document = {"m": np.ones((2, 2))}
+    document["self"] = [document]
+    with pytest.raises(RecursionError):
+        dumps(document)

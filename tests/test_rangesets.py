@@ -7,6 +7,7 @@ import pytest
 
 import oracles as orc
 from metriclab import (
+    ExperimentConfig,
     RangeSet,
     ShrinkingSequence,
     WindowMiss,
@@ -54,6 +55,36 @@ def test_helper_constructors():
     assert (G.ratio, G.scale) == (0.5, 3.0)
     D = double_exponential_range_set(0.5)
     assert D.base == 0.5
+
+
+NAN, INF = math.nan, math.inf
+GEO = geometric_range_set(0.5)
+
+# Every reader of a length or a constant refuses a non-finite one by
+# name; each of these calls once returned normally or failed elsewhere.
+NON_FINITE = {
+    "explicit NaN last": lambda: RangeSet("explicit", values=(0.0, NAN)),
+    "explicit NaN inside": lambda: RangeSet("explicit", values=(0.0, NAN, 1.0)),
+    "explicit Infinity": lambda: RangeSet("explicit", values=(0.0, 1.0, INF)),
+    "geometric scale Infinity": lambda: geometric_range_set(0.5, INF),
+    "geometric scale NaN": lambda: geometric_range_set(0.5, NAN),
+    "sequence NaN": lambda: ShrinkingSequence((1.0, NAN, 0.5)),
+    "sequence Infinity": lambda: ShrinkingSequence((INF, 1.0)),
+    "envelope M NaN": lambda: ShrinkingSequence((1.0, 0.5), envelope=(0.5, NAN)),
+    "envelope M Infinity": lambda: ShrinkingSequence((1.0, 0.5), envelope=(0.5, INF)),
+    "window M NaN": lambda: is_exponential_window(GEO, 0.5, NAN, 3),
+    "window M Infinity": lambda: is_exponential_window(GEO, 0.5, INF, 3),
+    "sequence M NaN": lambda: exponential_sequence(GEO, 0.5, NAN, 3),
+    "sequence M Infinity": lambda: exponential_sequence(GEO, 0.5, INF, 3),
+    "epsilon Infinity": lambda: ExperimentConfig("perturb_chain", epsilon=INF),
+    "epsilon NaN": lambda: ExperimentConfig("perturb_chain", epsilon=NAN),
+}
+
+
+@pytest.mark.parametrize("name", NON_FINITE)
+def test_a_non_finite_length_or_constant_is_refused(name):
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE[name]()
 
 
 # ---------------------------------------------------------------------------

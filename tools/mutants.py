@@ -40,6 +40,7 @@ LAB = "metriclab/lab.py"
 JSONTEXT = "metriclab/jsontext.py"
 SAMPLED_ORACLE = "tests/test_moduli.py::test_doubling_sampled_matches_the_unpruned_search"
 UP_LOOP_ORACLE = "tests/test_moduli.py::test_up_constant_matches_the_point_loop_exactly"
+NON_FINITE_INPUTS = "tests/test_rangesets.py::test_a_non_finite_length_or_constant_is_refused"
 
 MUTANTS = (
     Mutant(
@@ -215,8 +216,8 @@ MUTANTS = (
     Mutant(
         "the writer lets NaN and Infinity through",
         JSONTEXT,
-        "indent=2, allow_nan=False, default=default)",
-        "indent=2, default=default)",
+        "allow_nan=False, check_circular=False,",
+        "check_circular=False,",
         (
             "tests/test_jsontext.py::test_dumps_refuses_every_non_finite_float",
             "tests/test_cli.py::test_a_non_finite_output_is_a_clean_error_and_writes_nothing",
@@ -242,8 +243,15 @@ MUTANTS = (
     Mutant(
         "the writer keeps its arrays until a gc pass",
         JSONTEXT,
-        "    matrices.clear()\n",
-        "",
+        "        matrices.clear()\n",
+        "        pass\n",
+        ("tests/test_jsontext.py::test_dumps_keeps_no_array_alive",),
+    ),
+    Mutant(
+        "the cycle check keeps the open containers",
+        JSONTEXT,
+        "allow_nan=False, check_circular=False, default=default",
+        "allow_nan=False, default=default",
         ("tests/test_jsontext.py::test_dumps_keeps_no_array_alive",),
     ),
     Mutant(
@@ -262,6 +270,31 @@ MUTANTS = (
         "if not all(map(_is_integer, indices)):",
         "if False:",
         ("tests/test_cli_sweep.py::test_every_input_rule_holds",),
+    ),
+    Mutant(
+        "explicit values not checked for finiteness",
+        "metriclab/rangesets.py",
+        "            if not all(map(math.isfinite, vals)):\n"
+        '                raise ValueError("explicit values must be finite")\n',
+        "",
+        (NON_FINITE_INPUTS,),
+    ),
+    Mutant(
+        "envelope constant M checked only against 1",
+        "metriclab/rangesets.py",
+        "if not 1 <= big_m < math.inf:\n"
+        '                raise ValueError("envelope constant',
+        "if big_m < 1:\n"
+        '                raise ValueError("envelope constant',
+        (NON_FINITE_INPUTS,),
+    ),
+    Mutant(
+        "blocks blown up without their gap",
+        "metriclab/cantor.py",
+        "    for lo, hi in zip(bounds[:-1], bounds[1:]):\n"
+        "        matrix[lo:hi, lo:hi] = gap\n",
+        "",
+        ("tests/test_cantor.py::test_type_recipes_keep_their_bytes",),
     ),
     Mutant(
         "least-element bisect keeps x on the high side",
@@ -335,6 +368,18 @@ MUTANTS = (
         "generator = np.random.default_rng(seed)",
         "generator = np.random.default_rng(seed + 1)",
         ("tests/test_moduli.py::test_doubling_sampled_report_is_pinned",),
+    ),
+    Mutant(
+        "two dense samplers swapped",
+        LAB,
+        '"dense_doubling": (_dense("closure", "doubling"), "n", 64, 2),\n'
+        '    "dense_ud": (_dense("points_linf", "delta_star"),',
+        '"dense_doubling": (_dense("points_linf", "doubling"), "n", 64, 2),\n'
+        '    "dense_ud": (_dense("closure", "delta_star"),',
+        (
+            "tests/test_lab.py::test_dense_reports_keep_their_bytes[dense_doubling]",
+            "tests/test_lab.py::test_dense_reports_keep_their_bytes[dense_ud]",
+        ),
     ),
     Mutant(
         "a row passes when any check holds",
